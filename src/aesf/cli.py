@@ -28,7 +28,6 @@ import math
 import shlex
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +51,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise DomainError("grid bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DomainError("grid needs x_min < x_max and y_min < y_max")
         if self.nx < 1 or self.ny < 1 or self.nx * self.ny > 10 ** 6:
@@ -211,15 +212,10 @@ def _figure_presets(figure: int, nx: int, ny: int):
     return jobs
 
 
-def _grid_values(f: FunctionalId, model, grid: GridSpec, threads: int) -> list[tuple]:
-    points = [(x, y) for x in grid.xs() for y in grid.ys()]  # row-major, y inner
-    evaluate = lambda p: closedform.aesf(closedform.AesfRequest(f, model, p))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, points))
-    else:
-        values = [evaluate(p) for p in points]
-    return [(x, y, v) for (x, y), v in zip(points, values)]
+def _grid_values(f: FunctionalId, model, grid: GridSpec) -> list[tuple]:
+    # row-major, y inner
+    return [(x, y, closedform.aesf(closedform.AesfRequest(f, model, (x, y))))
+            for x in grid.xs() for y in grid.ys()]
 
 
 def _with_suffix(path: str, suffix: str) -> str:
@@ -247,8 +243,8 @@ def _cmd_aesf_grid(args) -> dict:
         if f is None:  # figure 3: both rank correlations plus |.| difference
             if not closedform.is_supported("kendall", model):
                 raise UnsupportedError("figure 3 needs a Gaussian model")
-            kend = _grid_values(FunctionalId("kendall"), model, grid, args.threads)
-            spear = _grid_values(FunctionalId("spearman"), model, grid, args.threads)
+            kend = _grid_values(FunctionalId("kendall"), model, grid)
+            spear = _grid_values(FunctionalId("spearman"), model, grid)
             rows = [(x, y, k, s, abs(k) - abs(s))
                     for (x, y, k), (_, _, s) in zip(kend, spear)]
             _write_csv(out, ["x", "y", "aesf_kendall", "aesf_spearman", "abs_diff"], rows)
@@ -257,7 +253,7 @@ def _cmd_aesf_grid(args) -> dict:
                 raise UnsupportedError(
                     f"no closed form for {f.tag!r} under {type(model).__name__}")
             _write_csv(out, ["x", "y", "aesf"],
-                       _grid_values(f, model, grid, args.threads))
+                       _grid_values(f, model, grid))
         files.append(out)
         _say(args, f"wrote {out}")
     return {"files": files}
@@ -311,7 +307,9 @@ def _add_functional_flags(p: argparse.ArgumentParser, required: bool = True):
 
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for Monte Carlo replicates; "
+                        "aesf-grid runs single-threaded")
     p.add_argument("--json", action="store_true", help="print a JSON run report")
 
 

@@ -32,6 +32,7 @@ from .models import (
     marginal_cdf_y,
     plain_law_rule,
     x_expectation_rule,
+    x_expectations,
 )
 from .numerics import bvn_cdf, hermite_rule, normal_cdf, phi
 
@@ -75,7 +76,10 @@ def _require_supported(f: FunctionalId, model: Model) -> None:
 def _scalar_point(point) -> float:
     if np.ndim(point) != 0:
         raise DomainError("this functional takes a scalar evaluation point")
-    return float(point)
+    x = float(point)
+    if not math.isfinite(x):
+        raise DomainError(f"evaluation point must be finite, got {x}")
+    return x
 
 
 def _pair_point(point) -> tuple[float, float]:
@@ -83,7 +87,10 @@ def _pair_point(point) -> tuple[float, float]:
         x, y = point
     except TypeError:
         raise DomainError("rank correlations take an (x, y) evaluation point") from None
-    return float(x), float(y)
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"evaluation point must be finite, got {(x, y)}")
+    return x, y
 
 
 def _mean_var(model: Model) -> tuple[float, float]:
@@ -173,19 +180,16 @@ def _tau_additive(model: AdditiveNoise, order: int) -> float:
     """
     root2 = math.sqrt(2.0)
     outer_nodes, outer_weights = x_expectation_rule(model, order=order)
-    lo = model.x_law.support()[0]
-    total = 0.0
-    for t, wt in zip(outer_nodes, outer_weights):
-        if t <= lo:
-            continue
-        inner_nodes, inner_weights = x_expectation_rule(
-            model, levels=[float(model.link(t))], cuts=[t], order=order,
-            half_width=FEATURE_HALF_WIDTH * root2)
-        keep = inner_nodes < t
-        kernel = 2.0 * phi((model.link(t) - model.link(inner_nodes[keep]))
-                           / (root2 * model.noise_sigma)) - 1.0
-        total += wt * float(inner_weights[keep] @ kernel)
-    return 2.0 * total
+    g_outer = model.link(outer_nodes)
+
+    def kernel(x, i):
+        # Inner rule i is split at its outer node t and counts only x < t.
+        diff = 2.0 * phi((g_outer[i] - model.link(x)) / (root2 * model.noise_sigma)) - 1.0
+        return np.where(x < outer_nodes[i], diff, 0.0)
+
+    inner = x_expectations(model, kernel, g_outer, cuts=outer_nodes, order=order,
+                           half_width=FEATURE_HALF_WIDTH * root2)
+    return 2.0 * float(outer_weights @ inner)
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +226,23 @@ def _aesf_spearman_independent(model: IndependentProduct, x: float, y: float,
 # Chatterjee: four conditional-survival terms
 # ---------------------------------------------------------------------------
 
-def _w_moments(model: Model, t: float, order: int) -> tuple[float, float]:
-    """(E_X[P(Y > t | X)], E_X[P(Y > t | X)^2]) with a t-refined x rule."""
-    nodes, weights = x_expectation_rule(model, levels=[t], order=order)
-    s = conditional_survival(model, t, nodes)
-    return float(weights @ s), float(weights @ (s * s))
+def _w_moments(model: Model, ts, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E_X[P(Y > t | X)], E_X[P(Y > t | X)^2]) at each t, with t-refined x rules."""
+    ts = np.asarray(ts, dtype=float)
+    levels = ts.ravel()
 
+    def kernel(x, i):
+        s = conditional_survival(model, levels[i], x)
+        return np.stack((s, s * s))
 
-def _w2_array(model: Model, ts: np.ndarray, order: int) -> np.ndarray:
-    flat = np.asarray(ts, dtype=float).ravel()
-    out = np.array([_w_moments(model, float(t), order)[1] for t in flat])
-    return out.reshape(np.shape(ts))
+    w1, w2 = x_expectations(model, kernel, levels, order=order)
+    return w1.reshape(ts.shape), w2.reshape(ts.shape)
 
 
 @lru_cache(maxsize=128)
 def _chatterjee_shared_term(model: Model, order: int) -> float:
     """E_{Y'} E_X [ P(Y > Y' | X)^2 ]; independent of the evaluation point."""
-    return expect_y_prime(model, lambda ts: _w2_array(model, ts, order), order=order)
+    return expect_y_prime(model, lambda ts: _w_moments(model, ts, order)[1], order=order)
 
 
 def _sharp_levels_at(model: Model, x: float) -> tuple[float, ...]:
@@ -250,7 +254,7 @@ def _sharp_levels_at(model: Model, x: float) -> tuple[float, ...]:
 def _aesf_chatterjee(model: Model, x: float, y: float, order: int) -> float:
     surv_at_x = lambda ts: conditional_survival(model, ts, x)
     t1 = _chatterjee_shared_term(model, order)
-    t2 = _w_moments(model, y, order)[1]
+    t2 = float(_w_moments(model, y, order)[1])
     t3 = expect_y_prime(model, lambda ts: surv_at_x(ts) ** 2,
                         sharp_levels=_sharp_levels_at(model, x), order=order)
     t4 = expect_y_prime(model, surv_at_x, upper=y,
@@ -308,17 +312,12 @@ def _xi_dss(model: Model, order: int) -> float:
     denominator: E_{Y'}[ F_Y(Y') (1 - F_Y(Y')) ]
     """
     def num(ts):
-        flat = np.asarray(ts, dtype=float).ravel()
-        vals = []
-        for t in flat:
-            w1, w2 = _w_moments(model, float(t), order)
-            vals.append(w2 - w1 * w1)
-        return np.array(vals).reshape(np.shape(ts))
+        w1, w2 = _w_moments(model, ts, order)
+        return w2 - w1 * w1
 
     def den(ts):
-        flat = np.asarray(ts, dtype=float).ravel()
-        cdf = np.array([marginal_cdf_y(model, float(t), order) for t in flat])
-        return (cdf * (1.0 - cdf)).reshape(np.shape(ts))
+        cdf = marginal_cdf_y(model, ts, order)
+        return cdf * (1.0 - cdf)
 
     return expect_y_prime(model, num, order=order) / expect_y_prime(model, den, order=order)
 

@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, ParseError, UnsupportedError
 from .estimators import Dataset
-from .numerics import NORMAL_TAIL, _leggauss, hermite_rule, normal_pdf
+from .numerics import NORMAL_TAIL, _leggauss, clamp_probability, hermite_rule, normal_pdf
 
 __all__ = [
     "NormalLaw",
@@ -151,33 +151,35 @@ class Link:
             return t * t
         return np.cos(_TWO_PI * t)
 
-    def preimage(self, lo: float, hi: float, xlo: float, xhi: float) -> list[tuple[float, float]]:
-        """Intervals of [xlo, xhi] on which g takes values in [lo, hi]."""
+    def preimage(self, lo, hi, xlo: float, xhi: float) -> np.ndarray:
+        """Ends of the intervals of [xlo, xhi] on which g takes values in [lo, hi].
+
+        Vectorized over ``lo`` and ``hi``: the result has one more axis, of a
+        length fixed by the link and the x range, and NaN marks the ends of
+        intervals that are empty for that window.
+        """
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         if self.name == "linear":
             if self.c == 0.0:
-                return [(xlo, xhi)] if lo <= 0.0 <= hi else []
-            p, q = lo / self.c, hi / self.c
-            return [(min(p, q), max(p, q))]
+                # g is constant: the preimage is all of [xlo, xhi] or empty,
+                # so it has no end strictly inside the x range.
+                return np.empty(lo.shape + (0,))
+            return np.stack((lo / self.c, hi / self.c), axis=-1)
         if self.name == "square":
-            if hi < 0.0:
-                return []
-            r_lo = math.sqrt(max(lo, 0.0))
-            r_hi = math.sqrt(hi)
-            return [(-r_hi, -r_lo), (r_lo, r_hi)]
+            empty = hi < 0.0
+            r_lo = np.sqrt(np.where(empty, np.nan, np.maximum(lo, 0.0)))
+            r_hi = np.sqrt(np.where(empty, np.nan, hi))
+            return np.stack((-r_hi, -r_lo, r_lo, r_hi), axis=-1)
         # cos2pi: invert per monotone half-period branch [k/2, (k+1)/2]
-        v_lo, v_hi = max(lo, -1.0), min(hi, 1.0)
-        if v_lo > v_hi:
-            return []
-        out = []
-        for k in range(math.floor(2 * xlo) - 1, math.ceil(2 * xhi) + 1):
-            start = 0.5 * k
-            if k % 2 == 0:  # decreasing branch: +1 down to -1
-                out.append((start + math.acos(v_hi) / _TWO_PI,
-                            start + math.acos(v_lo) / _TWO_PI))
-            else:  # increasing branch: -1 up to +1
-                out.append((start + math.acos(-v_lo) / _TWO_PI,
-                            start + math.acos(-v_hi) / _TWO_PI))
-        return out
+        v_lo, v_hi = np.maximum(lo, -1.0), np.minimum(hi, 1.0)
+        empty = v_lo > v_hi
+        v_lo, v_hi = np.where(empty, np.nan, v_lo), np.where(empty, np.nan, v_hi)
+        k = np.arange(math.floor(2 * xlo) - 1, math.ceil(2 * xhi) + 1)
+        start = 0.5 * k
+        even = k % 2 == 0  # even k: decreasing branch, +1 down to -1
+        first = np.where(even, np.arccos(v_hi)[..., None], np.arccos(-v_lo)[..., None])
+        second = np.where(even, np.arccos(v_lo)[..., None], np.arccos(-v_hi)[..., None])
+        return np.concatenate((first / _TWO_PI + start, second / _TWO_PI + start), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,34 +446,38 @@ def marginal_cdf_x(model: Model, t):
 # Expectation rules over the x marginal
 # ---------------------------------------------------------------------------
 
-def law_expectation_rule(law: Law, breakpoints=(), order: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights for E[h(X)] under ``law``.
+def _panel_rules(law: Law, breakpoints: np.ndarray, order: int):
+    """Composite Gauss-Legendre rules for E[h(X)] under ``law``, one per row.
 
-    Panels are split at the given breakpoints and capped in width, and the
-    law's density is folded into the weights (which therefore sum to ~1).
+    Row i of ``breakpoints`` (shape (T, M)) splits the panels of rule i;
+    breakpoints that are NaN or not strictly inside the support are ignored.
+    Panels are capped in width and the law's density is folded into the
+    weights (which therefore sum to ~1 per rule). Returns (nodes, weights,
+    counts): the rules are laid end to end, rule i taking the next
+    ``counts[i]`` entries of the flat node and weight arrays.
     """
     lo, hi = law.support()
-    cuts = {lo, hi}
-    for b in breakpoints:
-        b = float(b)
-        if lo < b < hi:
-            cuts.add(b)
-    edges = sorted(cuts)
-    cap = law.max_panel()
+    inside = (breakpoints > lo) & (breakpoints < hi)
+    # An ignored breakpoint becomes a zero-width panel at lo, which gets no pieces.
+    rules = len(breakpoints)
+    edges = np.column_stack((np.full(rules, lo), np.where(inside, breakpoints, lo),
+                             np.full(rules, hi)))
+    edges.sort(axis=1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    width = b - a
+    pieces = np.ceil(width / law.max_panel()).astype(np.intp)
+    # Sub-panel ends exactly as np.linspace(a, b, pieces + 1) computes them.
+    owner = np.repeat(np.arange(a.size), pieces)
+    i = np.arange(owner.size) - (np.cumsum(pieces) - pieces)[owner]
+    step = width[owner] / pieces[owner]
+    p = i * step + a[owner]
+    q = np.where(i + 1 == pieces[owner], b[owner], (i + 1) * step + a[owner])
+    half = (0.5 * (q - p))[:, None]
     t0, w0 = _leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width <= 0.0:
-            continue
-        pieces = max(1, math.ceil(width / cap))
-        sub = np.linspace(a, b, pieces + 1)
-        for p, q in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (q - p)
-            x = half * (t0 + 1.0) + p
-            nodes.append(x)
-            weights.append(half * w0 * law.pdf(x))
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes = half * (t0 + 1.0) + p[:, None]
+    weights = half * w0 * law.pdf(nodes)
+    counts = pieces.reshape(rules, -1).sum(axis=1) * order
+    return nodes.ravel(), weights.ravel(), counts
 
 
 def plain_law_rule(law: Law, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
@@ -492,14 +498,51 @@ def _x_law(model: Model) -> Law:
     raise UnsupportedError(f"{type(model).__name__} has no x marginal law")
 
 
-def _location_preimage(model: Model, lo: float, hi: float) -> list[tuple[float, float]]:
-    """x intervals where the conditional location falls in [lo, hi]."""
+def _location_preimage(model: Model, lo, hi) -> np.ndarray:
+    """Ends of the x intervals where the conditional location falls in [lo, hi]."""
     xlo, xhi = _x_law(model).support()
-    if isinstance(model, BivariateGaussian):
-        return Link("linear", model.rho).preimage(lo, hi, xlo, xhi)
-    if isinstance(model, AdditiveNoise):
-        return model.link.preimage(lo, hi, xlo, xhi)
-    return []
+    link = Link("linear", model.rho) if isinstance(model, BivariateGaussian) else model.link
+    return link.preimage(lo, hi, xlo, xhi)
+
+
+#: Nested transition windows around a level, as fractions of the half-width.
+_WINDOW_FRACTIONS = np.array((1.0, 0.45, 0.15))
+
+#: Most quadrature panels that are evaluated at once for a batch of levels,
+#: which bounds memory (a few MB) whatever the number of levels.
+_CHUNK_PANELS = 1024
+
+
+def _as_rows(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else values
+
+
+def _rule_breakpoints(model: Model, levels: np.ndarray, cuts, half_width: float) -> np.ndarray:
+    """(T, M) panel breakpoints for rules resolving row i of ``levels`` (T, L)."""
+    parts = [] if cuts is None else [_as_rows(cuts)]
+    if levels.shape[1] and not isinstance(model, IndependentProduct):
+        windows = _WINDOW_FRACTIONS * half_width * conditional_scale(model)
+        ends = _location_preimage(model, levels[:, :, None] - windows,
+                                  levels[:, :, None] + windows)
+        parts.append(ends.reshape(len(levels), -1))
+    return np.concatenate(parts, axis=1) if parts else np.empty((len(levels), 0))
+
+
+def x_expectation_rules(model: Model, levels, cuts=None, order: int = 64,
+                        half_width: float = FEATURE_HALF_WIDTH):
+    """Expectation rules over the x marginal, one per row of ``levels``.
+
+    Rule i resolves conditional-CDF kernels at ``levels[i]`` (a scalar per
+    row for shape (T,), or L levels per row for shape (T, L)) and is split
+    at ``cuts[i]`` (None, shape (T,) or (T, C)), exactly as
+    ``x_expectation_rule`` builds it for those levels and cuts. Returns
+    (nodes, weights, counts), rule i taking the next ``counts[i]`` entries.
+    """
+    _require_bivariate(model, "x_expectation_rules")
+    levels = _as_rows(levels)
+    breakpoints = _rule_breakpoints(model, levels, cuts, half_width)
+    return _panel_rules(_x_law(model), breakpoints, order)
 
 
 def x_expectation_rule(model: Model, levels=(), cuts=(), order: int = 64,
@@ -512,22 +555,48 @@ def x_expectation_rule(model: Model, levels=(), cuts=(), order: int = 64,
     kernel actually varies. The split is graded (nested sub-intervals of the
     transition region) so a kernel living on a tiny noise scale is resolved
     even at low base orders. ``cuts`` force additional plain panel
-    boundaries (e.g. an indicator threshold in x itself).
+    boundaries (e.g. an indicator threshold in x itself). This is the
+    one-rule case of ``x_expectation_rules``.
     """
-    _require_bivariate(model, "x_expectation_rule")
-    breakpoints = list(cuts)
-    if levels and not isinstance(model, IndependentProduct):
-        scale = conditional_scale(model)
-        for level in levels:
-            for fraction in (1.0, 0.45, 0.15):
-                w = fraction * half_width * scale
-                for a, b in _location_preimage(model, float(level) - w, float(level) + w):
-                    breakpoints += [a, b]
-    return law_expectation_rule(_x_law(model), breakpoints, order)
+    nodes, weights, _ = x_expectation_rules(
+        model, np.reshape(levels, (1, -1)), np.reshape(cuts, (1, -1)), order, half_width)
+    return nodes, weights
 
 
-def marginal_cdf_y(model: Model, t: float, order: int = 64) -> float:
-    """CDF of the y marginal at scalar ``t``.
+def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
+                   half_width: float = FEATURE_HALF_WIDTH) -> np.ndarray:
+    """E_X[kernel] for each level, each on its own level-refined x rule.
+
+    ``kernel(x, i)`` receives nodes of several rules and, per node, the index
+    into ``levels`` (shape (T,)) of the rule it belongs to; it returns one
+    value per node, or a stack of such rows. The last axis of the result
+    indexes the levels. ``cuts`` (None or shape (T,)) splits rule i at
+    ``cuts[i]`` as in ``x_expectation_rules``. Rules are built in batches
+    of at most ``_CHUNK_PANELS`` panels (one rule per batch if a rule needs
+    more); a level's sum does not depend on the batch it falls in.
+    """
+    levels = np.asarray(levels, dtype=float)
+    law = _x_law(model)
+    lo, hi = law.support()
+    # Capping adds at most one panel per breakpoint interval beyond the
+    # ceil(support width / cap) panels of an unsplit rule.
+    probe = _rule_breakpoints(model, levels[:1, None], None if cuts is None else cuts[:1],
+                              half_width)
+    panels = probe.shape[1] + 1 + math.ceil((hi - lo) / law.max_panel())
+    batch = max(1, _CHUNK_PANELS // panels)
+    sums = []
+    for start in range(0, len(levels), batch):
+        part = slice(start, start + batch)
+        nodes, weights, counts = x_expectation_rules(
+            model, levels[part], None if cuts is None else cuts[part], order, half_width)
+        rows = np.repeat(np.arange(start, start + len(counts)), counts)
+        sums.append(np.add.reduceat(weights * kernel(nodes, rows),
+                                    np.cumsum(counts) - counts, axis=-1))
+    return np.concatenate(sums, axis=-1)
+
+
+def marginal_cdf_y(model: Model, t, order: int = 64):
+    """CDF of the y marginal, vectorized over ``t``.
 
     For additive-noise models this is E_X[Phi((t - g(X)) / sigma)], by
     Hermite quadrature for normal X and Legendre quadrature for uniform X;
@@ -535,17 +604,24 @@ def marginal_cdf_y(model: Model, t: float, order: int = 64) -> float:
     kernel's transition region so that tiny-noise models stay accurate.
     """
     _require_bivariate(model, "marginal_cdf_y")
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     if isinstance(model, BivariateGaussian):
-        return float(ndtr(t))
+        return ndtr(t)
     if isinstance(model, IndependentProduct):
-        return float(model.y_law.cdf(t))
+        return model.y_law.cdf(t)
+    levels = t.ravel()
     if model.noise_sigma >= 0.25:
         nodes, weights = plain_law_rule(model.x_law, order)
+        g = model.link(nodes)
+        # One plain rule (a single panel) serves every level.
+        cdf = np.concatenate([
+            ndtr((levels[i:i + _CHUNK_PANELS, None] - g) / model.noise_sigma) @ weights
+            for i in range(0, len(levels), _CHUNK_PANELS)])
     else:
-        nodes, weights = x_expectation_rule(model, levels=[t], order=order)
-    vals = ndtr((t - model.link(nodes)) / model.noise_sigma)
-    return float(min(max(weights @ vals, 0.0), 1.0))
+        cdf = x_expectations(
+            model, lambda x, i: ndtr((levels[i] - model.link(x)) / model.noise_sigma),
+            levels, order=order)
+    return clamp_probability(cdf.reshape(t.shape))
 
 
 def y_moments(model: Model, order: int = 64) -> tuple[float, float]:
@@ -632,7 +708,8 @@ def _law_expect(law: Law, h, upper, sharp_levels, order: int) -> float:
         if hi <= lo:
             return 0.0
     bounded = UniformLaw(lo, hi)
-    nodes, weights = law_expectation_rule(bounded, sharp_levels, order)
-    # law_expectation_rule folded the uniform density; swap in the real one.
+    nodes, weights, _ = _panel_rules(
+        bounded, np.asarray(sharp_levels, dtype=float).reshape(1, -1), order)
+    # _panel_rules folded the uniform density; swap in the real one.
     weights = weights * (hi - lo) * law.pdf(nodes)
     return float(weights @ h(nodes))

@@ -111,12 +111,16 @@ def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> fl
     return float(rule.weights @ values)
 
 
-def clamp_probability(p: float, tol: float = CLAMP_TOL) -> float:
-    """Clamp a nearly-in-range probability to [0, 1].
+def clamp_probability(p, tol: float = CLAMP_TOL):
+    """Clamp a nearly-in-range probability to [0, 1]; elementwise on arrays.
 
     Excursions beyond ``tol`` indicate a bug upstream and raise instead of
     being hidden.
     """
+    if isinstance(p, np.ndarray):
+        for extreme in (p.min(), p.max()):
+            clamp_probability(float(extreme), tol)  # raises beyond tol
+        return np.clip(p, 0.0, 1.0)
     if p < 0.0:
         if p < -tol:
             raise NumericsError(f"probability {p!r} below 0 by more than {tol}")
@@ -160,9 +164,12 @@ def bvn_cdf(x: float, y: float, rho: float, order: int = 64) -> float:
             + (1/2pi) * int_0^{arcsin rho} exp(-(x^2 - 2xy sin t + y^2)
                                                / (2 cos^2 t)) dt,
 
-    with Gauss-Legendre quadrature on the arcsin segment. The integrand is
-    analytic, so 64 nodes reach full double precision for every |rho| < 1;
-    the degenerate |rho| = 1 cases are handled exactly.
+    with Gauss-Legendre quadrature on the arcsin segment; the degenerate
+    |rho| = 1 cases are handled exactly. The integrand sharpens as |rho|
+    approaches 1. Measured against 512 nodes on a [-4, 4]^2 grid with step
+    0.1, 64 nodes agree within 6e-16 for |rho| in {0.1, 0.3, 0.5, 0.7, 0.9,
+    0.95, 0.99, 0.999}; at |rho| = 0.9999 the gap reaches 3.9e-11, at
+    (x, y) = (0, 0.1).
     """
     x, y, rho = float(x), float(y), float(rho)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(rho)):

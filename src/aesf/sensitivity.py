@@ -74,10 +74,16 @@ def _check_point(f: FunctionalId, point):
             px, py = point
         except TypeError:
             raise DomainError(f"{f.tag} needs an (x, y) insertion point") from None
-        return float(px), float(py)
-    if np.ndim(point) != 0:
+        point = (float(px), float(py))
+        finite = math.isfinite(point[0]) and math.isfinite(point[1])
+    elif np.ndim(point) != 0:
         raise DomainError(f"{f.tag} needs a scalar insertion point")
-    return float(point)
+    else:
+        point = float(point)
+        finite = math.isfinite(point)
+    if not finite:
+        raise DomainError(f"insertion point must be finite, got {point}")
+    return point
 
 
 def sf(f, ds: Dataset, point) -> float:

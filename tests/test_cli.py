@@ -216,6 +216,18 @@ class TestAesfGrid:
                          "--out", str(tmp_path / "x.csv"))
         assert code == 4
 
+    def test_non_finite_points_exit_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "aesf-grid", "--model", "A", "--functional", "chatterjee",
+                           "--x-min=-inf", "--x-max", "1", "--y-min", "0",
+                           "--y-max", "1", "--nx", "2", "--ny", "2",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "finite" in err
+        code, _, err = run(capsys, "esf", "--model", NORMAL_JSON, "--functional", "mean",
+                           "--n", "10", "--x", "nan", "--replicates", "10")
+        assert code == 1
+        assert "insertion point must be finite" in err
+
     def test_oversized_grid_rejected(self, capsys, tmp_path):
         code, _, _ = run(capsys, "aesf-grid", "--model", GAUSS_JSON,
                          "--functional", "kendall", "--x-min", "0", "--x-max", "1",

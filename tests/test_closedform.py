@@ -27,6 +27,7 @@ from aesf import (
     population_value,
     scenario,
 )
+from aesf import closedform
 
 GAUSS = BivariateGaussian(0.7)
 GAUSS_CLONE = AdditiveNoise(NormalLaw(), Link("linear", 0.7), math.sqrt(1 - 0.49))
@@ -67,6 +68,20 @@ class TestEsfExact:
     def test_unsupported_functional(self):
         with pytest.raises(UnsupportedError):
             esf_exact("kendall", GAUSS, (0.0, 0.0), 10)
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(DomainError):
+            esf_exact("variance", UnivariateNormal(0.0, 1.0), math.inf, 10)
+
+
+class TestNonFinitePoints:
+    def test_scalar_nan_rejected(self):
+        with pytest.raises(DomainError):
+            aesf(_req("mean", UnivariateNormal(0.0, 1.0), math.nan))
+
+    def test_pair_infinity_rejected(self):
+        with pytest.raises(DomainError):
+            aesf(_req("chatterjee", scenario("A"), (math.inf, 0.0)))
 
 
 class TestKendallAesf:
@@ -257,6 +272,25 @@ class TestSupportTable:
         point = (0.0, 0.0) if FunctionalId(tag).is_bivariate else 0.5
         with pytest.raises(UnsupportedError):
             aesf(_req(tag, model, point))
+
+
+class TestPinnedLevelIntegrals:
+    # Values of the per-level quadrature loops that the batched x rules
+    # replaced (order 64): the shared Chatterjee term E_Y' E_X[P(Y > Y' | X)^2],
+    # the population Kendall tau and the population Chatterjee xi.
+    PINS = {
+        "A": (0.3837752748016967, 0.4936333777867307, 0.30265164881017953),
+        "B": (0.4770000359019836, 8.988036009904832e-17, 0.8620002154161104),
+        "C": (0.41030844173649916, -6.7166324585477e-17, 0.4618506504189945),
+    }
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_scenario_values(self, name):
+        model = scenario(name)
+        shared, tau, xi = self.PINS[name]
+        assert abs(closedform._chatterjee_shared_term(model, 64) - shared) <= 1e-12
+        assert abs(population_value("kendall", model) - tau) <= 1e-12
+        assert abs(population_value("chatterjee", model) - xi) <= 1e-12
 
 
 class TestQuadratureStability:

@@ -27,7 +27,8 @@ from aesf import (
     sample,
     scenario,
 )
-from aesf.models import x_expectation_rule, y_moments
+from aesf import models
+from aesf.models import x_expectation_rule, x_expectation_rules, x_expectations, y_moments
 
 # Determinism pins: frozen outputs of the documented draw scheme
 # (Philox keyed by the seed; inverse-CDF normals on (k+1/2)/2^53 uniforms).
@@ -177,6 +178,48 @@ class TestMarginals:
     def test_univariate_has_no_y_marginal(self):
         with pytest.raises(UnsupportedError):
             marginal_cdf_y(UniformMax(1.0), 0.5)
+
+
+class TestBatchedRules:
+    # Levels across and beyond every model's y range. 1009 is prime, so with
+    # any batch of more than one level the last batch is a partial one.
+    LEVELS = np.random.default_rng(5).normal(0.0, 3.0, 1009)
+
+    @pytest.mark.parametrize("model", [
+        scenario("A"), scenario("B"), scenario("C"),
+        BivariateGaussian(0.6), BivariateGaussian(0.0),
+        IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0)),
+        AdditiveNoise(UniformLaw(0.0, 1.0), Link("linear", 1.0), 0.001),
+    ])
+    def test_rules_equal_single_rules_bit_for_bit(self, model):
+        levels = self.LEVELS[:150]
+        cuts = 0.1 * levels
+        nodes, weights, counts = x_expectation_rules(model, levels, cuts)
+        assert counts.sum() == nodes.size == weights.size
+        for t, c, end, count in zip(levels, cuts, np.cumsum(counts), counts):
+            single_nodes, single_weights = x_expectation_rule(model, levels=[t], cuts=[c])
+            assert np.array_equal(nodes[end - count:end], single_nodes)
+            assert np.array_equal(weights[end - count:end], single_weights)
+
+    def test_sums_do_not_depend_on_batching(self, monkeypatch):
+        m = scenario("C")
+        single = np.array([
+            x_expectations(m, lambda x, i, t=t: conditional_survival(m, t, x), [t])[0]
+            for t in self.LEVELS])
+        for chunk in (100, 333, models._CHUNK_PANELS):
+            monkeypatch.setattr(models, "_CHUNK_PANELS", chunk)
+            batched = x_expectations(
+                m, lambda x, i: conditional_survival(m, self.LEVELS[i], x), self.LEVELS)
+            assert np.array_equal(batched, single), chunk
+
+    def test_sums_match_the_scalar_rule(self):
+        m = scenario("B")
+        levels = self.LEVELS[:40]
+        batched = x_expectations(
+            m, lambda x, i: conditional_survival(m, levels[i], x), levels)
+        for t, v in zip(levels, batched):
+            nodes, weights = x_expectation_rule(m, levels=[t])
+            assert v == pytest.approx(weights @ conditional_survival(m, t, nodes), abs=1e-14)
 
 
 class TestExpectYPrime:

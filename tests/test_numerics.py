@@ -170,9 +170,13 @@ class TestClamp:
         assert clamp_probability(0.25) == 0.25
         assert clamp_probability(-1e-12) == 0.0
         assert clamp_probability(1.0 + 1e-12) == 1.0
+        clamped = clamp_probability(np.array([-1e-12, 0.25, 1.0 + 1e-12]))
+        assert np.array_equal(clamped, [0.0, 0.25, 1.0])
 
     def test_large_excursion_raises(self):
         with pytest.raises(NumericsError):
             clamp_probability(-1e-6)
         with pytest.raises(NumericsError):
             clamp_probability(1.0 + 1e-6)
+        with pytest.raises(NumericsError):
+            clamp_probability(np.array([0.5, 1.0 + 1e-6]))

@@ -84,6 +84,13 @@ class TestSf:
         with pytest.raises(DomainError):
             sf("mean", UNIV, (1.0, 2.0))
 
+    def test_non_finite_point_rejected(self):
+        ds = Dataset(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0]))
+        with pytest.raises(DomainError):
+            sf_kendall_incremental(ds, (math.inf, 0.0))
+        with pytest.raises(DomainError):
+            esf_mc("mean", UnivariateNormal(0.0, 1.0), 10, math.nan, 10, 1)
+
 
 class TestKendallIncremental:
     def test_agrees_with_reevaluation(self):
