@@ -45,7 +45,7 @@ from .models import (
     sample,
     scenario,
 )
-from .numerics import QuadratureRule, bvn_cdf, hermite_rule, integrate, legendre_rule, normal_cdf
+from .numerics import bvn_cdf, hermite_rule, normal_cdf
 from .sensitivity import (
     ConvergenceCurve,
     McEstimate,

@@ -174,16 +174,15 @@ def _cmd_sf(args) -> dict:
 
 def _cmd_esf(args) -> dict:
     f = _parse_functional(args)
-    model = _parse_model(args.model)
-    mc = sensitivity.esf_mc(f, model, args.n, _point(args, f),
-                            args.replicates, args.seed, threads=args.threads)
+    mc = sensitivity.esf_mc(f, args.model, args.n, _point(args, f),
+                            args.replicates, args.seed)
     payload = {"value": mc.value, "std_error": mc.std_error,
                "replicates": mc.replicates, "n": mc.n, "seed": mc.seed,
                "tie_resamples": mc.tie_resamples}
     _say(args, f"esf {mc.value:.10g}  std_error {mc.std_error:.4g}  "
                f"(n={mc.n}, replicates={mc.replicates})")
     try:
-        exact = closedform.esf_exact(f, model, args.x, args.n)
+        exact = closedform.esf_exact(f, args.model, args.x, args.n)
     except (UnsupportedError, DomainError):
         exact = None
     if exact is not None:
@@ -235,7 +234,7 @@ def _cmd_aesf_grid(args) -> dict:
             if getattr(args, name) is None:
                 raise ParseError(f"aesf-grid needs --{name.replace('_', '-')}")
         grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.nx, args.ny)
-        jobs = [(_parse_functional(args), _parse_model(args.model), grid, "")]
+        jobs = [(_parse_functional(args), args.model, grid, "")]
 
     files = []
     for f, model, grid, suffix in jobs:
@@ -261,11 +260,9 @@ def _cmd_aesf_grid(args) -> dict:
 
 def _cmd_converge(args) -> dict:
     f = _parse_functional(args)
-    model = _parse_model(args.model)
     schedule = [int(s) for s in args.schedule.split(",")]
-    curve = sensitivity.convergence_study(f, model, _point(args, f), schedule,
-                                          args.replicates, args.seed,
-                                          threads=args.threads)
+    curve = sensitivity.convergence_study(f, args.model, _point(args, f), schedule,
+                                          args.replicates, args.seed)
     with open(args.out, "w", newline="") as fh:
         fh.write("n,esf,std_error,target\n")
         target = "" if curve.target is None else _FMT.format(curve.target)
@@ -279,10 +276,8 @@ def _cmd_converge(args) -> dict:
 
 def _cmd_sfdist(args) -> dict:
     f = _parse_functional(args)
-    model = _parse_model(args.model)
-    values = sensitivity.sf_distribution(f, model, args.n, _point(args, f),
-                                         args.replicates, args.seed,
-                                         threads=args.threads)
+    values = sensitivity.sf_distribution(f, args.model, args.n, _point(args, f),
+                                         args.replicates, args.seed)
     with open(args.out, "w", newline="") as fh:
         fh.write("sf\n")
         for v in values:
@@ -308,8 +303,7 @@ def _add_functional_flags(p: argparse.ArgumentParser, required: bool = True):
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for Monte Carlo replicates; "
-                        "aesf-grid runs single-threaded")
+                   help="accepted for compatibility; every command runs single-threaded")
     p.add_argument("--json", action="store_true", help="print a JSON run report")
 
 
@@ -391,6 +385,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        # Parsed once: the run and the --json report use the same model.
+        if getattr(args, "model", None) is not None:
+            args.model = _parse_model(args.model)
         payload = args.run(args)
     except TieError as e:
         print(f"error: ties: {e}", file=sys.stderr)
@@ -405,11 +402,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:
-        model_arg = getattr(args, "model", None)
+        model = getattr(args, "model", None)
         report = {
             "command": "aesf " + " ".join(shlex.quote(a) for a in argv),
-            "model": (models.model_to_json(_parse_model(model_arg))
-                      if model_arg else None),
+            "model": None if model is None else models.model_to_json(model),
             "functional": (_functional_json(_parse_functional(args))
                            if getattr(args, "functional", None) else None),
             "seed": getattr(args, "seed", DEFAULT_SEED),

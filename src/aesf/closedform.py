@@ -25,7 +25,6 @@ from .models import (
     Model,
     UniformMax,
     UnivariateNormal,
-    conditional_location,
     conditional_survival,
     expect_y_prime,
     marginal_cdf_x,
@@ -197,11 +196,10 @@ def _tau_additive(model: AdditiveNoise, order: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _aesf_spearman_gaussian(rho: float, x: float, y: float, order: int) -> float:
-    rule = hermite_rule(order)
-    t = rule.nodes
+    t, w = hermite_rule(order)
     scale = math.sqrt(1.0 - rho * rho)
-    cross_y = float(rule.weights @ (phi(t) * phi((rho * t - y) / scale)))
-    cross_x = float(rule.weights @ (phi(t) * phi((rho * t - x) / scale)))
+    cross_y = float(w @ (phi(t) * phi((rho * t - y) / scale)))
+    cross_x = float(w @ (phi(t) * phi((rho * t - x) / scale)))
     return (12.0 * normal_cdf(x) * normal_cdf(y)
             + 12.0 * (cross_y + cross_x)
             - (18.0 / math.pi) * math.asin(0.5 * rho) - 9.0)
@@ -246,9 +244,7 @@ def _chatterjee_shared_term(model: Model, order: int) -> float:
 
 
 def _sharp_levels_at(model: Model, x: float) -> tuple[float, ...]:
-    if isinstance(model, IndependentProduct):
-        return ()
-    return (float(conditional_location(model, x)),)
+    return () if model.link is None else (float(model.link(x)),)
 
 
 def _aesf_chatterjee(model: Model, x: float, y: float, order: int) -> float:

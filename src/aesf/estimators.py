@@ -225,25 +225,20 @@ def concordance_sum_mergesort(xs: np.ndarray, ys: np.ndarray) -> int:
     return n * (n - 1) // 2 - 2 * discordant
 
 
-def kendall_tau(ds: Dataset, method: str = "mergesort") -> float:
-    """Kendall's correlation; ``method`` is ``"mergesort"`` or ``"quadratic"``.
-
-    Both routes produce the same integer concordance sum on tie-free data,
-    so their float results are bit-identical.
-    """
+def kendall_tau(ds: Dataset) -> float:
+    """Kendall's correlation, from the O(n log n) concordance sum."""
     _require_rank_data(ds)
-    if method == "mergesort":
-        s = concordance_sum_mergesort(ds.xs, ds.ys)
-    elif method == "quadratic":
-        s = concordance_sum_quadratic(ds.xs, ds.ys)
-    else:
-        raise DomainError(f"unknown kendall method {method!r}")
-    return _tau_from_sum(s, ds.n)
+    return _tau_from_sum(concordance_sum_mergesort(ds.xs, ds.ys), ds.n)
 
 
 def kendall_tau_quadratic(ds: Dataset) -> float:
-    """Reference O(n^2) evaluation of Kendall's correlation."""
-    return kendall_tau(ds, method="quadratic")
+    """Reference O(n^2) evaluation of Kendall's correlation.
+
+    Both concordance sums are the same integer on tie-free data, so this and
+    ``kendall_tau`` give bit-identical floats.
+    """
+    _require_rank_data(ds)
+    return _tau_from_sum(concordance_sum_quadratic(ds.xs, ds.ys), ds.n)
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,12 @@ deterministic sampling from a counter-based stream, the conditional
 survival P(Y > y | X = x) in closed form, and quadrature rules for
 expectations over the marginals.
 
+Bivariate models answer one protocol of four attributes: ``x_law``;
+``y_law``, the y marginal when it has a closed form, else None; ``link``,
+the regression function g of Y = g(X) + noise_sigma * Z, or None when Y
+does not depend on X; and ``noise_sigma``. Functions below read these
+attributes instead of switching on the model class.
+
 Randomness contract: ``sample(model, n, seed)`` is a pure function of its
 arguments. Each seed keys a Philox counter-based generator; uniforms come
 from ``Generator.random`` and normal draws use the inverse CDF applied to
@@ -188,13 +194,26 @@ class Link:
 
 @dataclass(frozen=True)
 class BivariateGaussian:
-    """Standard bivariate normal with correlation strictly inside (-1, 1)."""
+    """Standard bivariate normal with correlation strictly inside (-1, 1).
+
+    It is the additive-noise law Y = rho X + sqrt(1 - rho^2) Z with X and Z
+    independent standard normals, whose y marginal is again standard normal.
+    """
 
     rho: float
+    x_law = y_law = NormalLaw()
 
     def __post_init__(self):
         if not math.isfinite(self.rho) or not -1.0 < self.rho < 1.0:
             raise DomainError(f"rho must lie strictly inside (-1, 1), got {self.rho}")
+
+    @property
+    def link(self) -> Link:
+        return Link("linear", self.rho)
+
+    @property
+    def noise_sigma(self) -> float:
+        return math.sqrt(1.0 - self.rho ** 2)
 
 
 @dataclass(frozen=True)
@@ -204,6 +223,7 @@ class AdditiveNoise:
     x_law: Law
     link: Link
     noise_sigma: float
+    y_law = None  # no closed form
 
     def __post_init__(self):
         if not math.isfinite(self.noise_sigma) or self.noise_sigma <= 0.0:
@@ -237,6 +257,7 @@ class IndependentProduct:
 
     x_law: Law
     y_law: Law
+    link = noise_sigma = None  # Y does not depend on X
 
 
 Model = Union[BivariateGaussian, AdditiveNoise, UniformMax, UnivariateNormal,
@@ -377,19 +398,13 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
         return Dataset(model.mu + model.sigma * _standard_normals(rng, n))
     if isinstance(model, UniformMax):
         return Dataset(model.theta * rng.random(n))
-    if isinstance(model, BivariateGaussian):
-        zx = _standard_normals(rng, n)
-        zy = _standard_normals(rng, n)
-        return Dataset(zx, model.rho * zx + math.sqrt(1.0 - model.rho ** 2) * zy)
-    if isinstance(model, AdditiveNoise):
-        xs = model.x_law.sample(rng, n)
-        noise = _standard_normals(rng, n)
-        return Dataset(xs, model.link(xs) + model.noise_sigma * noise)
-    if isinstance(model, IndependentProduct):
-        xs = model.x_law.sample(rng, n)
-        ys = model.y_law.sample(rng, n)
-        return Dataset(xs, ys)
-    raise DomainError(f"not a model: {model!r}")
+    if not is_bivariate(model):
+        raise DomainError(f"not a model: {model!r}")
+    xs = model.x_law.sample(rng, n)
+    if model.link is None:
+        return Dataset(xs, model.y_law.sample(rng, n))
+    noise = _standard_normals(rng, n)
+    return Dataset(xs, model.link(xs) + model.noise_sigma * noise)
 
 
 # ---------------------------------------------------------------------------
@@ -401,39 +416,18 @@ def _require_bivariate(model: Model, what: str) -> None:
         raise UnsupportedError(f"{what} requires a bivariate model, got {type(model).__name__}")
 
 
-def conditional_location(model: Model, x):
-    """E[Y | X = x] for models with additive conditional structure."""
-    if isinstance(model, BivariateGaussian):
-        return model.rho * np.asarray(x, dtype=float)
-    if isinstance(model, AdditiveNoise):
-        return model.link(x)
-    raise UnsupportedError(f"{type(model).__name__} has no conditional location")
-
-
-def conditional_scale(model: Model) -> float:
-    """Conditional standard deviation of Y given X."""
-    if isinstance(model, BivariateGaussian):
-        return math.sqrt(1.0 - model.rho ** 2)
-    if isinstance(model, AdditiveNoise):
-        return model.noise_sigma
-    raise UnsupportedError(f"{type(model).__name__} has no conditional scale")
-
-
 def conditional_survival(model: Model, y, x):
     """P(Y > y | X = x); vectorized over either argument."""
     _require_bivariate(model, "conditional_survival")
-    if isinstance(model, IndependentProduct):
+    if model.link is None:
         surv = 1.0 - model.y_law.cdf(y)
         return np.broadcast_to(surv, np.broadcast_shapes(np.shape(surv), np.shape(x)))
-    loc = conditional_location(model, x)
-    return ndtr((loc - np.asarray(y, dtype=float)) / conditional_scale(model))
+    return ndtr((model.link(x) - np.asarray(y, dtype=float)) / model.noise_sigma)
 
 
 def marginal_cdf_x(model: Model, t):
     """CDF of the x marginal (or of the single variable, for univariate models)."""
-    if isinstance(model, (BivariateGaussian,)):
-        return ndtr(np.asarray(t, dtype=float))
-    if isinstance(model, (AdditiveNoise, IndependentProduct)):
+    if is_bivariate(model):
         return model.x_law.cdf(t)
     if isinstance(model, UnivariateNormal):
         return ndtr((np.asarray(t, dtype=float) - model.mu) / model.sigma)
@@ -483,26 +477,10 @@ def _panel_rules(law: Law, breakpoints: np.ndarray, order: int):
 def plain_law_rule(law: Law, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Single-rule expectation nodes/weights: Hermite for normal, Legendre for uniform."""
     if isinstance(law, NormalLaw):
-        rule = hermite_rule(order)
-        return rule.nodes, rule.weights
+        return hermite_rule(order)
     t0, w0 = _leggauss(order)
     half = 0.5 * (law.b - law.a)
     return half * (t0 + 1.0) + law.a, (0.5 * w0)  # pdf * half = 1/2 exactly
-
-
-def _x_law(model: Model) -> Law:
-    if isinstance(model, BivariateGaussian):
-        return NormalLaw()
-    if isinstance(model, (AdditiveNoise, IndependentProduct)):
-        return model.x_law
-    raise UnsupportedError(f"{type(model).__name__} has no x marginal law")
-
-
-def _location_preimage(model: Model, lo, hi) -> np.ndarray:
-    """Ends of the x intervals where the conditional location falls in [lo, hi]."""
-    xlo, xhi = _x_law(model).support()
-    link = Link("linear", model.rho) if isinstance(model, BivariateGaussian) else model.link
-    return link.preimage(lo, hi, xlo, xhi)
 
 
 #: Nested transition windows around a level, as fractions of the half-width.
@@ -521,10 +499,10 @@ def _as_rows(values) -> np.ndarray:
 def _rule_breakpoints(model: Model, levels: np.ndarray, cuts, half_width: float) -> np.ndarray:
     """(T, M) panel breakpoints for rules resolving row i of ``levels`` (T, L)."""
     parts = [] if cuts is None else [_as_rows(cuts)]
-    if levels.shape[1] and not isinstance(model, IndependentProduct):
-        windows = _WINDOW_FRACTIONS * half_width * conditional_scale(model)
-        ends = _location_preimage(model, levels[:, :, None] - windows,
-                                  levels[:, :, None] + windows)
+    if levels.shape[1] and model.link is not None:
+        windows = _WINDOW_FRACTIONS * half_width * model.noise_sigma
+        ends = model.link.preimage(levels[:, :, None] - windows,
+                                   levels[:, :, None] + windows, *model.x_law.support())
         parts.append(ends.reshape(len(levels), -1))
     return np.concatenate(parts, axis=1) if parts else np.empty((len(levels), 0))
 
@@ -542,7 +520,7 @@ def x_expectation_rules(model: Model, levels, cuts=None, order: int = 64,
     _require_bivariate(model, "x_expectation_rules")
     levels = _as_rows(levels)
     breakpoints = _rule_breakpoints(model, levels, cuts, half_width)
-    return _panel_rules(_x_law(model), breakpoints, order)
+    return _panel_rules(model.x_law, breakpoints, order)
 
 
 def x_expectation_rule(model: Model, levels=(), cuts=(), order: int = 64,
@@ -575,8 +553,9 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
     of at most ``_CHUNK_PANELS`` panels (one rule per batch if a rule needs
     more); a level's sum does not depend on the batch it falls in.
     """
+    _require_bivariate(model, "x_expectations")
     levels = np.asarray(levels, dtype=float)
-    law = _x_law(model)
+    law = model.x_law
     lo, hi = law.support()
     # Capping adds at most one panel per breakpoint interval beyond the
     # ceil(support width / cap) panels of an unsplit rule.
@@ -605,9 +584,9 @@ def marginal_cdf_y(model: Model, t, order: int = 64):
     """
     _require_bivariate(model, "marginal_cdf_y")
     t = np.asarray(t, dtype=float)
-    if isinstance(model, BivariateGaussian):
-        return ndtr(t)
-    if isinstance(model, IndependentProduct):
+    if np.isnan(t).any():
+        raise DomainError("marginal_cdf_y is undefined at a NaN level")
+    if model.y_law is not None:
         return model.y_law.cdf(t)
     levels = t.ravel()
     if model.noise_sigma >= 0.25:
@@ -627,9 +606,7 @@ def marginal_cdf_y(model: Model, t, order: int = 64):
 def y_moments(model: Model, order: int = 64) -> tuple[float, float]:
     """(mean, standard deviation) of the y marginal."""
     _require_bivariate(model, "y_moments")
-    if isinstance(model, BivariateGaussian):
-        return (0.0, 1.0)
-    if isinstance(model, IndependentProduct):
+    if model.y_law is not None:
         return model.y_law.moments()
     nodes, weights = plain_law_rule(model.x_law, order)
     g = model.link(nodes)
@@ -654,16 +631,13 @@ def expect_y_prime(model: Model, h: Callable[[np.ndarray], np.ndarray], *,
     lists y values around which h varies on the conditional noise scale;
     they refine the quadrature the same way ``x_expectation_rule`` does.
 
-    Gaussian models integrate with a single Hermite rule; additive-noise
-    models use a double rule over (X', Z'); independent products integrate
-    directly over the y marginal.
+    Models with a closed-form y marginal integrate over it directly (a
+    single Hermite rule for a normal marginal); additive-noise models use a
+    double rule over (X', Z').
     """
     _require_bivariate(model, "expect_y_prime")
 
-    if isinstance(model, BivariateGaussian):
-        law: Law = NormalLaw()
-        return _law_expect(law, h, upper, sharp_levels, order)
-    if isinstance(model, IndependentProduct):
+    if model.y_law is not None:
         return _law_expect(model.y_law, h, upper, sharp_levels, order)
 
     # Additive noise: outer over X', inner over Z'.
@@ -675,9 +649,9 @@ def expect_y_prime(model: Model, h: Callable[[np.ndarray], np.ndarray], *,
     g = model.link(outer_nodes)
 
     if upper is None:
-        zr = hermite_rule(order)
-        values = h(g[:, None] + sigma * zr.nodes[None, :])
-        return float(outer_weights @ (values @ zr.weights))
+        z_nodes, z_weights = hermite_rule(order)
+        values = h(g[:, None] + sigma * z_nodes[None, :])
+        return float(outer_weights @ (values @ z_weights))
 
     # Truncated inner integral over Z' in [-tail, zeta_i], as a fixed number
     # of equal panels per node so that low base orders stay accurate over

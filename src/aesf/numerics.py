@@ -1,15 +1,14 @@
 """Special functions and Gaussian quadrature used by every closed-form evaluation.
 
-Everything here is pure and reentrant: rules are immutable, the node/weight
-caches are append-only, and no function mutates its arguments.
+Everything here is pure and reentrant: rules are read-only (nodes, weights)
+arrays, the rule caches are append-only, and no function mutates its
+arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -17,10 +16,7 @@ from scipy.special import ndtr
 from .errors import DomainError, NumericsError
 
 __all__ = [
-    "QuadratureRule",
-    "legendre_rule",
     "hermite_rule",
-    "integrate",
     "normal_cdf",
     "normal_pdf",
     "bvn_cdf",
@@ -38,33 +34,6 @@ NORMAL_TAIL = 8.5
 CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """A fixed quadrature rule: ``integrate(rule, f) == weights @ f(nodes)``.
-
-    kind
-        ``"legendre"`` for Gauss-Legendre on a finite interval (weights sum
-        to the interval length) or ``"hermite"`` for the probabilists'
-        Gauss-Hermite rule (weights sum to 1; integrates against the
-        standard normal density).
-    """
-
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise DomainError("quadrature order must be >= 1")
-        if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
-            raise DomainError("nodes/weights must both have length equal to order")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise DomainError("quadrature nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise DomainError("quadrature weights must be positive")
-
-
 @lru_cache(maxsize=None)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -74,8 +43,12 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _hermegauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # Probabilists' rule; raw weights sum to sqrt(2*pi).
+def hermite_rule(order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilists' Gauss-Hermite rule: integrates against the N(0,1) density.
+
+    Returns read-only (nodes, weights); the weights sum to 1.
+    """
+    # Raw probabilists' weights sum to sqrt(2*pi).
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     weights = weights / _SQRT_TWO_PI
     nodes.setflags(write=False)
@@ -83,44 +56,18 @@ def _hermegauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def legendre_rule(a: float, b: float, order: int = 64) -> QuadratureRule:
-    """Gauss-Legendre rule mapped affinely onto ``[a, b]``."""
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise DomainError(f"need finite a < b, got [{a}, {b}]")
-    t, w = _leggauss(order)
-    half = 0.5 * (b - a)
-    return QuadratureRule("legendre", half * (t + 1.0) + a, half * w, order)
-
-
-def hermite_rule(order: int = 64) -> QuadratureRule:
-    """Probabilists' Gauss-Hermite rule: integrates against the N(0,1) density."""
-    nodes, weights = _hermegauss(order)
-    return QuadratureRule("hermite", nodes, weights, order)
-
-
-def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Apply ``rule`` to a callable that accepts a node array.
-
-    Returns ``sum_i w_i f(x_i)``; raises if ``f`` produced non-finite values.
-    """
-    values = np.asarray(f(rule.nodes), dtype=float)
-    if values.shape != rule.nodes.shape:
-        raise DomainError("integrand must return one value per node")
-    if not np.all(np.isfinite(values)):
-        raise NumericsError("integrand returned non-finite values")
-    return float(rule.weights @ values)
-
-
 def clamp_probability(p, tol: float = CLAMP_TOL):
     """Clamp a nearly-in-range probability to [0, 1]; elementwise on arrays.
 
-    Excursions beyond ``tol`` indicate a bug upstream and raise instead of
-    being hidden.
+    Excursions beyond ``tol`` and NaN indicate a bug upstream and raise
+    instead of being hidden.
     """
     if isinstance(p, np.ndarray):
         for extreme in (p.min(), p.max()):
-            clamp_probability(float(extreme), tol)  # raises beyond tol
+            clamp_probability(float(extreme), tol)  # raises beyond tol or on NaN
         return np.clip(p, 0.0, 1.0)
+    if math.isnan(p):
+        raise NumericsError("probability is NaN")
     if p < 0.0:
         if p < -tol:
             raise NumericsError(f"probability {p!r} below 0 by more than {tol}")

@@ -4,14 +4,12 @@ The reference semantics of ``sf`` is full re-evaluation of the estimator on
 the grown sample; any incremental shortcut lives beside it and is gated by
 exact-agreement tests. Monte Carlo expectations are deterministic functions
 of their inputs: replicate r draws from a stream derived from (seed, r),
-and aggregation is ordered by replicate index, so the result is identical
-at any degree of parallelism.
+and replicates are aggregated in index order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -142,51 +140,44 @@ def _replicate_sf(f: FunctionalId, model: Model, n: int, point, seed: int,
 
 
 def _replicate_values(f: FunctionalId, model: Model, n: int, point,
-                      replicates: int, seed: int, threads: int) -> tuple[np.ndarray, int]:
+                      replicates: int, seed: int) -> tuple[np.ndarray, int]:
     if replicates < 2:
         raise DomainError("need at least 2 replicates")
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    task = lambda r: _replicate_sf(f, model, n, point, seed, r)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, range(replicates)))
-    else:
-        results = [task(r) for r in range(replicates)]
+    results = [_replicate_sf(f, model, n, point, seed, r) for r in range(replicates)]
     values = np.array([v for v, _ in results], dtype=float)
     resamples = sum(a for _, a in results)
     return values, resamples
 
 
-def esf_mc(f, model: Model, n: int, point, replicates: int, seed: int,
-           threads: int = 1) -> McEstimate:
+def esf_mc(f, model: Model, n: int, point, replicates: int, seed: int) -> McEstimate:
     """Expected sensitivity at sample size n, by seeded Monte Carlo.
 
     Averages ``sf`` over independent replicate samples; deterministic given
-    all inputs, whatever ``threads`` is. 100+ replicates are recommended for
-    reported numbers.
+    all inputs. 100+ replicates are recommended for reported numbers.
     """
     f = as_functional(f)
     _check_model_functional(f, model)
     point = _check_point(f, point)
-    values, resamples = _replicate_values(f, model, n, point, replicates, seed, threads)
+    values, resamples = _replicate_values(f, model, n, point, replicates, seed)
     value = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(replicates))
     return McEstimate(value, std_error, replicates, n, int(seed), resamples)
 
 
-def sf_distribution(f, model: Model, n: int, point, replicates: int, seed: int,
-                    threads: int = 1) -> np.ndarray:
+def sf_distribution(f, model: Model, n: int, point, replicates: int,
+                    seed: int) -> np.ndarray:
     """Raw SF replicate values (no averaging), for distributional checks."""
     f = as_functional(f)
     _check_model_functional(f, model)
     point = _check_point(f, point)
-    values, _ = _replicate_values(f, model, n, point, replicates, seed, threads)
+    values, _ = _replicate_values(f, model, n, point, replicates, seed)
     return values
 
 
 def convergence_study(f, model: Model, point, schedule: Sequence[int],
-                      replicates: int, seed: int, threads: int = 1) -> ConvergenceCurve:
+                      replicates: int, seed: int) -> ConvergenceCurve:
     """ESF along a strictly increasing n schedule, with the closed-form
     limit attached as target when one is available for (f, model)."""
     f = as_functional(f)
@@ -196,7 +187,7 @@ def convergence_study(f, model: Model, point, schedule: Sequence[int],
     if list(schedule) != sorted(set(schedule)):
         raise DomainError("schedule must be strictly increasing")
     estimates = tuple(
-        esf_mc(f, model, n, point, replicates, seed, threads) for n in schedule)
+        esf_mc(f, model, n, point, replicates, seed) for n in schedule)
     try:
         target = closedform.aesf(closedform.AesfRequest(f, model, point))
     except (UnsupportedError, DomainError):

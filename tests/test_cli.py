@@ -1,5 +1,7 @@
 """CLI contract: exit codes, CSV schemas, reproducibility."""
 
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from aesf import AesfRequest, FunctionalId, aesf, esf_exact, scenario
+from aesf import cli
 from aesf.cli import main
 from aesf.models import UnivariateNormal
 
@@ -123,6 +126,17 @@ class TestEsf:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert json.loads(out1)["result"] == json.loads(out2)["result"]
+
+    def test_model_file_parsed_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        path.write_text(NORMAL_JSON)
+        parses = []
+        parse = cli._parse_model
+        monkeypatch.setattr(cli, "_parse_model", lambda spec: parses.append(spec) or parse(spec))
+        code, out, _ = run(capsys, "esf", "--model", str(path), "--functional", "mean",
+                           "--n", "20", "--x", "1", "--replicates", "10", "--json")
+        assert code == 0 and parses == [str(path)]
+        assert json.loads(out)["model"] == json.loads(NORMAL_JSON)
 
     def test_scenario_shorthand(self, capsys):
         code, _, _ = run(capsys, "esf", "--model", "A", "--functional", "chatterjee",
@@ -284,3 +298,16 @@ def test_console_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.3333333333"
+
+
+def test_every_traced_name_is_a_callable():
+    # perfbench/spans.py wraps these names in every traced benchmark run; a
+    # name that no longer exists would crash each such run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, names in spans.TRACED.items():
+        module = importlib.import_module(f"aesf.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"aesf.{module_name}.{name}"

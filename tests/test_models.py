@@ -1,5 +1,6 @@
 """Sampling determinism, conditional structure, and marginal consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,44 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(UniformMax(1.0), 0, 1)
 
+    def test_non_model_rejected(self):
+        with pytest.raises(DomainError):
+            sample(object(), 3, 1)
+
+
+class TestGaussianIsAdditiveNoise:
+    """BivariateGaussian(rho) is the law Y = rho X + sqrt(1 - rho^2) Z."""
+
+    @pytest.mark.parametrize("rho", [-0.95, -0.3, 0.0, 0.5, 0.7, 0.999])
+    def test_same_bits_as_additive_noise(self, rho):
+        gauss = BivariateGaussian(rho)
+        additive = AdditiveNoise(NormalLaw(), Link("linear", rho), math.sqrt(1 - rho ** 2))
+        for seed in (0, 7, 2 ** 40 + 3):
+            a, b = sample(gauss, 64, seed), sample(additive, 64, seed)
+            assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+        ys, xs = np.linspace(-4.0, 4.0, 17)[:, None], np.linspace(-5.0, 5.0, 23)
+        assert np.array_equal(conditional_survival(gauss, ys, xs),
+                              conditional_survival(additive, ys, xs))
+        levels = np.linspace(-3.0, 3.0, 13)
+        for got, want in zip(x_expectation_rules(gauss, levels, 0.5 * levels, order=16),
+                             x_expectation_rules(additive, levels, 0.5 * levels, order=16)):
+            assert np.array_equal(got, want)
+
+    def test_protocol_attributes(self):
+        gauss = BivariateGaussian(0.7)
+        assert gauss.x_law == gauss.y_law == NormalLaw()
+        assert gauss.link == Link("linear", 0.7)
+        assert gauss.noise_sigma == math.sqrt(1.0 - 0.7 ** 2)
+        assert scenario("A").y_law is None
+        product = IndependentProduct(NormalLaw(), UniformLaw(0.0, 1.0))
+        assert product.link is None and product.noise_sigma is None
+
+    def test_gaussian_keeps_one_field(self):
+        assert [f.name for f in dataclasses.fields(BivariateGaussian)] == ["rho"]
+        assert BivariateGaussian(0.7) == BivariateGaussian(0.7)
+        assert hash(BivariateGaussian(0.7)) == hash(BivariateGaussian(0.7))
+        assert BivariateGaussian(0.7) != scenario("A")
+
 
 class TestConditionalSurvival:
     def test_scenario_a_median(self):
@@ -178,6 +217,18 @@ class TestMarginals:
     def test_univariate_has_no_y_marginal(self):
         with pytest.raises(UnsupportedError):
             marginal_cdf_y(UniformMax(1.0), 0.5)
+
+    @pytest.mark.parametrize("model", [
+        BivariateGaussian(0.4),
+        IndependentProduct(NormalLaw(), UniformLaw(0.0, 2.0)),
+        scenario("A"),  # one plain x rule
+        AdditiveNoise(UniformLaw(0.0, 1.0), Link("linear", 1.0), 0.01),  # level-refined rules
+    ])
+    def test_nan_level_rejected(self, model):
+        with pytest.raises(DomainError):
+            marginal_cdf_y(model, math.nan)
+        with pytest.raises(DomainError):
+            marginal_cdf_y(model, np.array([0.0, math.nan]))
 
 
 class TestBatchedRules:
@@ -267,6 +318,10 @@ class TestJson:
     ])
     def test_round_trip(self, model):
         assert model_from_json(model_to_json(model)) == model
+
+    def test_gaussian_json_has_only_rho(self):
+        assert model_to_json(BivariateGaussian(0.7)) == {"variant": "bivariate_gaussian",
+                                                          "rho": 0.7}
 
     @pytest.mark.parametrize("bad", [
         {},

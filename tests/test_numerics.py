@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from aesf import DomainError, NumericsError, bvn_cdf, hermite_rule, integrate, legendre_rule, normal_cdf
+from aesf import DomainError, NumericsError, UniformLaw, bvn_cdf, hermite_rule, normal_cdf
+from aesf.models import plain_law_rule
 from aesf.numerics import clamp_probability
 
 # Frozen before the build from a 40-digit erf evaluation (mpmath.ncdf).
@@ -130,39 +131,37 @@ class TestBvnCdf:
 
 
 class TestQuadratureRules:
+    # A uniform law's plain rule is Gauss-Legendre on [a, b] with the density
+    # folded into the weights, so expectations are weights @ h(nodes).
     @pytest.mark.parametrize("order", [4, 16, 32, 64, 128])
     def test_legendre_rule_invariants(self, order):
-        rule = legendre_rule(-1.5, 2.5, order)
-        assert rule.order == order
-        assert rule.nodes.size == rule.weights.size == order
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-        # integrating 1 returns the interval length
-        assert integrate(rule, lambda t: np.ones_like(t)) == pytest.approx(
-            4.0, rel=1e-13)
+        nodes, weights = plain_law_rule(UniformLaw(-1.5, 2.5), order)
+        assert nodes.size == weights.size == order
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(weights > 0)
+        assert nodes[0] > -1.5 and nodes[-1] < 2.5
+        # the folded density integrates to 1
+        assert float(weights.sum()) == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("order", [8, 32, 64, 128])
     def test_hermite_rule_invariants(self, order):
-        rule = hermite_rule(order)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-        assert integrate(rule, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
-        assert integrate(rule, lambda t: t) == pytest.approx(0.0, abs=1e-13)
-        assert integrate(rule, lambda t: t * t) == pytest.approx(1.0, abs=1e-12)
+        nodes, weights = hermite_rule(order)
+        assert nodes.size == weights.size == order
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(weights > 0)
+        assert float(weights.sum()) == pytest.approx(1.0, abs=1e-13)
+        assert float(weights @ nodes) == pytest.approx(0.0, abs=1e-13)
+        assert float(weights @ (nodes * nodes)) == pytest.approx(1.0, abs=1e-12)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
     def test_legendre_cubic(self):
-        rule = legendre_rule(0.0, 1.0, 64)
-        assert integrate(rule, lambda t: t ** 3) == pytest.approx(0.25, abs=1e-12)
-        assert integrate(rule, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
+        nodes, weights = plain_law_rule(UniformLaw(0.0, 1.0), 64)
+        assert float(weights @ nodes ** 3) == pytest.approx(0.25, abs=1e-12)
+        assert float(weights.sum()) == pytest.approx(1.0, abs=1e-13)
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            legendre_rule(1.0, 1.0, 16)
-
-    def test_integrate_rejects_non_finite(self):
-        rule = legendre_rule(0.0, 1.0, 8)
-        with pytest.raises(NumericsError):
-            integrate(rule, lambda t: np.where(t > 0.5, np.inf, t))
+            plain_law_rule(UniformLaw(1.0, 1.0), 16)
 
 
 class TestClamp:
@@ -180,3 +179,13 @@ class TestClamp:
             clamp_probability(1.0 + 1e-6)
         with pytest.raises(NumericsError):
             clamp_probability(np.array([0.5, 1.0 + 1e-6]))
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericsError):
+            clamp_probability(math.nan)
+        with pytest.raises(NumericsError):
+            clamp_probability(np.float64("nan"))
+        with pytest.raises(NumericsError):
+            clamp_probability(np.array([0.2, math.nan]))
+        with pytest.raises(NumericsError):
+            clamp_probability(np.array([math.nan, 1.0 + 1e-12]))
