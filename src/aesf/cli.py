@@ -226,6 +226,13 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def _cmd_aesf_grid(args) -> dict:
     if args.figure is not None:
+        # A figure fixes its own models, functionals and windows.
+        ignored = [flag for flag, value in (
+            ("--model", args.model), ("--functional", args.functional),
+            ("--x-min", args.x_min), ("--x-max", args.x_max),
+            ("--y-min", args.y_min), ("--y-max", args.y_max)) if value is not None]
+        if ignored:
+            raise ParseError(f"--figure {args.figure} takes no {', '.join(ignored)}")
         jobs = _figure_presets(args.figure, args.nx, args.ny)
     else:
         if args.model is None or args.functional is None:

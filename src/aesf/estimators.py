@@ -19,6 +19,7 @@ __all__ = [
     "Dataset",
     "FunctionalId",
     "estimate",
+    "estimate_rows",
     "kendall_tau",
     "kendall_tau_quadratic",
     "spearman_s",
@@ -110,12 +111,13 @@ def _g_values(name: str, xs: np.ndarray) -> np.ndarray:
     return xs * xs
 
 
-def _phi_value(name: str, z: float) -> float:
+def _phi_value(name: str, z):
     if name == "identity":
         return z
     if name == "square":
         return z * z
-    return math.sin(z)
+    # math.sin value by value: np.sin need not round as libm's sin does.
+    return np.vectorize(math.sin, otypes=[float])(z)
 
 
 def phi_derivative(name: str, z: float) -> float:
@@ -160,17 +162,25 @@ def estimate(f, ds: Dataset) -> float:
             return spearman_s(ds)
         return chatterjee_xi(ds)
 
-    xs = ds.xs
+    return float(estimate_rows(f, ds.xs))
+
+
+def estimate_rows(f: FunctionalId, xs: np.ndarray):
+    """Plug-in estimates of a univariate functional along the last axis of ``xs``.
+
+    ``estimate`` is the one-row case: a row of a (rows, n) array gets the
+    same float as the one-dimensional sample it holds.
+    """
     if f.tag == "mean":
-        return float(np.mean(xs))
+        return np.mean(xs, axis=-1)
     if f.tag == "variance":
         # Plug-in variance (denominator n, not n - 1).
-        m = float(np.mean(xs))
-        return float(np.mean(xs * xs) - m * m)
+        m = np.mean(xs, axis=-1)
+        return np.mean(xs * xs, axis=-1) - m * m
     if f.tag == "uniform_max":
-        return float(np.max(xs))
+        return np.max(xs, axis=-1)
     # phi_linear
-    return _phi_value(f.phi, float(np.mean(_g_values(f.g, xs))))
+    return _phi_value(f.phi, np.mean(_g_values(f.g, xs), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ does not depend on X; and ``noise_sigma``. Functions below read these
 attributes instead of switching on the model class.
 
 Randomness contract: ``sample(model, n, seed)`` is a pure function of its
-arguments. Each seed keys a Philox counter-based generator; uniforms come
-from ``Generator.random`` and normal draws use the inverse CDF applied to
-53-bit uniforms, so replicate streams never couple sequentially.
+arguments. Each seed keys a Philox counter-based generator whose raw 64-bit
+words, shifted right by 11, give 53-bit integers k; each law maps them to
+values in one place (``from_bits``): uniforms are a + (b - a) k 2^-53 and
+normals the inverse CDF at (k + 1/2) 2^-53, so replicate streams never
+couple sequentially. ``sample_batches`` computes the same draws for many
+replicate seeds at once.
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ __all__ = [
     "model_to_json",
     "model_from_json",
     "derive_seed",
+    "derive_seeds",
     "sample",
+    "sample_batches",
     "conditional_survival",
     "marginal_cdf_x",
     "marginal_cdf_y",
     "expect_y_prime",
 ]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_UNIT = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
 #: Half-width, in units of the conditional noise scale, of the region around
@@ -85,8 +92,9 @@ class NormalLaw:
     def moments(self) -> tuple[float, float]:
         return (0.0, 1.0)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _standard_normals(rng, n)
+    def from_bits(self, k: np.ndarray) -> np.ndarray:
+        # Inverse CDF on (k + 1/2) / 2^53 uniforms: strictly inside (0, 1).
+        return ndtri((k + 0.5) * _UNIT)
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,9 @@ class UniformLaw:
     def moments(self) -> tuple[float, float]:
         return (0.5 * (self.a + self.b), (self.b - self.a) / math.sqrt(12.0))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.a + (self.b - self.a) * rng.random(n)
+    def from_bits(self, k: np.ndarray) -> np.ndarray:
+        # k / 2^53 is the value of Generator.random() on the same raw word.
+        return self.a + (self.b - self.a) * (k * _UNIT)
 
 
 Law = Union[NormalLaw, UniformLaw]
@@ -368,21 +377,119 @@ def derive_seed(seed: int, replicate: int, attempt: int = 0) -> int:
     """64-bit stream seed for one replicate, independent of all others.
 
     Hashing (seed, replicate, attempt) through SeedSequence keeps replicate
-    streams uncoupled, so Monte Carlo runs can execute replicates in any
-    order or in parallel and still aggregate deterministically.
+    streams uncoupled, so a Monte Carlo run can draw its replicates in any
+    order or in batches and still aggregate deterministically.
     """
     ss = np.random.SeedSequence(entropy=[int(seed) & _MASK64, int(replicate), int(attempt)])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 arrays: each call advances the
+    hash constant, which depends only on the number of calls so far."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def derive_seeds(seed: int, replicates) -> np.ndarray:
+    """``derive_seed(seed, r)`` (attempt 0) for every index r in ``replicates``.
+
+    Runs SeedSequence's entropy mixing and ``generate_state(1, uint64)`` in
+    uint32 array arithmetic, one lane per replicate. The entropy words are
+    the seed's one or two little-endian 32-bit words, r and the attempt, so
+    they never outnumber the pool and r must be below 2^32.
+    """
+    r = np.asarray(replicates, dtype=np.int64)
+    if r.size and (r.min() < 0 or r.max() > _MASK32):
+        raise DomainError("replicate indices must lie in [0, 2^32)")
+    seed = int(seed) & _MASK64
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    zeros = np.zeros(r.shape, dtype=np.uint32)
+    entropy = [zeros + np.uint32(w) for w in words] + [r.astype(np.uint32), zeros]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = _hasher(_INIT_B, _MULT_B)
+    low, high = state(pool[0]), state(pool[1])
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+
+
+# Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of m * b, the high word from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
+    lo_lo, hi_lo, lo_hi = m_lo * b_lo, m_hi * b_lo, m_lo * b_hi
+    carry = ((lo_lo >> np.uint64(32)) + (hi_lo & np.uint64(_MASK32))
+             + (lo_hi & np.uint64(_MASK32))) >> np.uint64(32)
+    high = m_hi * b_hi + (hi_lo >> np.uint64(32)) + (lo_hi >> np.uint64(32)) + carry
+    return high, np.uint64(m) * b
+
+
+def _philox_raw(keys, count: int) -> np.ndarray:
+    """The first ``count`` words of ``np.random.Philox(key=k).random_raw()``
+    for each k in ``keys``, as a (len(keys), count) uint64 array.
+
+    Philox4x64-10 with key (k, 0) encrypts the counters (c, 0, 0, 0) for
+    c = 1, 2, ...; block c gives the words 4(c - 1) .. 4c - 1.
+    """
+    k0 = np.asarray(keys, dtype=np.uint64)[:, None]
+    k1 = 0
+    blocks = -(-count // 4)
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for rnd in range(10):
+        if rnd:
+            k0 = k0 + np.uint64(_PHILOX_W[0])
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    return words.reshape(len(k0), 4 * blocks)[:, :count]
 
 
 def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
-def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Inverse CDF on (k + 1/2) / 2^53 uniforms: strictly inside (0, 1).
-    k = rng.integers(0, 1 << 53, size=n, dtype=np.int64)
-    return ndtri((k + 0.5) * 2.0 ** -53)
+def _from_bits(model: Model, bits: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sample values from 53-bit integers ``bits`` of shape (streams, ..., n):
+    stream 0 gives x (or the single variable), stream 1 y or the noise."""
+    if isinstance(model, UnivariateNormal):
+        return model.mu + model.sigma * NormalLaw().from_bits(bits[0]), None
+    if isinstance(model, UniformMax):
+        return UniformLaw(0.0, model.theta).from_bits(bits[0]), None
+    if not is_bivariate(model):
+        raise DomainError(f"not a model: {model!r}")
+    xs = model.x_law.from_bits(bits[0])
+    if model.link is None:
+        return xs, model.y_law.from_bits(bits[1])
+    return xs, model.link(xs) + model.noise_sigma * NormalLaw().from_bits(bits[1])
 
 
 def sample(model: Model, n: int, seed: int) -> Dataset:
@@ -393,18 +500,49 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = _rng_for(seed)
-    if isinstance(model, UnivariateNormal):
-        return Dataset(model.mu + model.sigma * _standard_normals(rng, n))
-    if isinstance(model, UniformMax):
-        return Dataset(model.theta * rng.random(n))
-    if not is_bivariate(model):
-        raise DomainError(f"not a model: {model!r}")
-    xs = model.x_law.sample(rng, n)
-    if model.link is None:
-        return Dataset(xs, model.y_law.sample(rng, n))
-    noise = _standard_normals(rng, n)
-    return Dataset(xs, model.link(xs) + model.noise_sigma * noise)
+    streams = 2 if is_bivariate(model) else 1
+    # Generator.integers(0, 2^53) is the raw word shifted right by 11.
+    bits = _rng_for(seed).integers(0, 1 << 53, size=(streams, n), dtype=np.int64)
+    return Dataset(*_from_bits(model, bits))
+
+
+#: Most raw Philox words that one batch of ``sample_batches`` draws, which
+#: bounds its working memory (about 1 MB) whatever n and the replicate count.
+_CHUNK_WORDS = 1 << 14
+
+#: Longest per-replicate stream that ``_philox_raw`` draws. Beyond about 400
+#: words, numpy's compiled Philox, built once per key, is the faster of the two.
+_KERNEL_MAX_WORDS = 512
+
+
+def _raw_words(keys: np.ndarray, count: int) -> np.ndarray:
+    if count <= _KERNEL_MAX_WORDS:
+        return _philox_raw(keys, count)
+    return np.array([np.random.Philox(key=k).random_raw(count) for k in keys.tolist()])
+
+
+def sample_batches(model: Model, n: int, seed: int, replicates: int):
+    """``sample(model, n, derive_seed(seed, r))`` for r = 0 .. replicates - 1.
+
+    Yields (first r, xs, ys) per batch of replicates, xs and ys of shape
+    (rows, n) with the same floats as the per-replicate samples (ys is None
+    for univariate models). A batch draws at most ``_CHUNK_WORDS`` words,
+    or one replicate's if that is more.
+    """
+    if n < 1:
+        raise DomainError(f"sample size must be >= 1, got {n}")
+    streams = 2 if is_bivariate(model) else 1
+    rows = max(1, _CHUNK_WORDS // (streams * n))
+    # Seeds are derived for about _CHUNK_WORDS replicates at once (whole
+    # batches), since a call costs the same for one replicate as for many.
+    block = rows * -(-_CHUNK_WORDS // rows)
+    for first in range(0, replicates, block):
+        keys = derive_seeds(seed, np.arange(first, min(first + block, replicates)))
+        for start in range(0, len(keys), rows):
+            batch = keys[start:start + rows]
+            bits = (_raw_words(batch, streams * n) >> np.uint64(11)).view(np.int64)
+            yield (first + start,
+                   *_from_bits(model, bits.reshape(len(batch), streams, n).swapaxes(0, 1)))
 
 
 # ---------------------------------------------------------------------------

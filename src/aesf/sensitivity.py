@@ -5,6 +5,14 @@ the grown sample; any incremental shortcut lives beside it and is gated by
 exact-agreement tests. Monte Carlo expectations are deterministic functions
 of their inputs: replicate r draws from a stream derived from (seed, r),
 and replicates are aggregated in index order.
+
+Replicates run in batches at attempt 0: ``models.sample_batches`` draws the
+samples of many replicates as (rows, n) arrays, univariate functionals get
+their SFs along the rows from ``estimate_rows``, and rank functionals get
+``sf`` row by row. A replicate whose sample or insertion ties falls back to
+the per-replicate path (``sample`` on ``derive_seed(seed, r, attempt)``)
+from attempt 1 on. Every value is the float that the per-replicate loop
+over ``_replicate_sf`` gives.
 """
 
 from __future__ import annotations
@@ -17,8 +25,9 @@ import numpy as np
 
 from . import closedform
 from .errors import AesfError, DomainError, TieError, UnsupportedError
-from .estimators import Dataset, FunctionalId, as_functional, estimate, kendall_tau
-from .models import Model, derive_seed, is_bivariate, sample
+from .estimators import (Dataset, FunctionalId, as_functional, estimate, estimate_rows,
+                         kendall_tau)
+from .models import Model, derive_seed, is_bivariate, sample, sample_batches
 
 __all__ = [
     "McEstimate",
@@ -127,9 +136,9 @@ def _check_model_functional(f: FunctionalId, model: Model) -> None:
 
 
 def _replicate_sf(f: FunctionalId, model: Model, n: int, point, seed: int,
-                  r: int) -> tuple[float, int]:
+                  r: int, first_attempt: int = 0) -> tuple[float, int]:
     """SF of replicate r; resamples with a fresh derived stream on a float tie."""
-    for attempt in range(_MAX_TIE_RESAMPLES):
+    for attempt in range(first_attempt, _MAX_TIE_RESAMPLES):
         ds = sample(model, n, derive_seed(seed, r, attempt))
         try:
             return sf(f, ds, point), attempt
@@ -141,13 +150,26 @@ def _replicate_sf(f: FunctionalId, model: Model, n: int, point, seed: int,
 
 def _replicate_values(f: FunctionalId, model: Model, n: int, point,
                       replicates: int, seed: int) -> tuple[np.ndarray, int]:
+    """``_replicate_sf`` for r = 0 .. replicates - 1, computed in batches."""
     if replicates < 2:
         raise DomainError("need at least 2 replicates")
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    results = [_replicate_sf(f, model, n, point, seed, r) for r in range(replicates)]
-    values = np.array([v for v, _ in results], dtype=float)
-    resamples = sum(a for _, a in results)
+    values = np.empty(replicates)
+    resamples = 0
+    for start, xs, ys in sample_batches(model, n, seed, replicates):
+        if not f.is_bivariate:
+            # sf's arithmetic on every row: (n + 1) * (grown - base).
+            grown = np.concatenate((xs, np.full((len(xs), 1), point)), axis=1)
+            values[start:start + len(xs)] = (n + 1) * (estimate_rows(f, grown)
+                                                       - estimate_rows(f, xs))
+            continue
+        for r, (x_row, y_row) in enumerate(zip(xs, ys), start):
+            try:
+                values[r] = sf(f, Dataset(x_row, y_row), point)
+            except TieError:
+                values[r], attempt = _replicate_sf(f, model, n, point, seed, r, 1)
+                resamples += attempt
     return values, resamples
 
 

@@ -209,6 +209,22 @@ class TestAesfGrid:
         for suffix in ("_A", "_B", "_C"):
             assert (tmp_path / f"fig4{suffix}.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--model", "A"),
+        ("--functional", "chatterjee"),
+        ("--x-min", "-1"),
+        ("--y-max", "2"),
+    ])
+    def test_figure_rejects_flags_it_ignores(self, capsys, tmp_path, flags):
+        # a figure fixes its own model, functional and window, so a report
+        # naming the flags' values would describe a run that did not happen
+        out_csv = tmp_path / "fig.csv"
+        code, out, err = run(capsys, "aesf-grid", "--figure", "1", "--nx", "2",
+                             "--ny", "2", *flags, "--out", str(out_csv), "--json")
+        assert code == 2
+        assert flags[0] in err and out == ""
+        assert not out_csv.exists()
+
     def test_independence_link_gives_zero_surface(self, capsys, tmp_path):
         model = ('{"variant":"additive_noise","x_law":{"name":"normal"},'
                  '"link":{"name":"linear","c":0},"noise_sigma":0.714}')

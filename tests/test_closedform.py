@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
+from scipy.special import ndtr
 
 from aesf import (
     AdditiveNoise,
@@ -128,6 +130,45 @@ class TestSpearmanAesf:
         grid = np.linspace(-3.0, 3.0, 41)
         vals = [aesf(_req("spearman", GAUSS, (x, y))) for x in grid for y in grid]
         assert min(vals) >= -12.0 and max(vals) <= 18.0
+
+
+class TestCrouxDehonInfluenceFunctions:
+    """Gaussian AESF against the influence functions of Croux and Dehon,
+    "Influence functions of the Spearman and Kendall correlation measures"
+    (Stat. Methods Appl., 2010), evaluated with scipy alone."""
+
+    RHO = 0.7
+    POINTS = [(0.0, 0.0), (1.2, -0.4), (2.0, -2.0), (-0.5, 1.7), (2.5, 2.5), (-1.0, -3.0)]
+
+    def _phi_above(self, a):
+        # E[Phi(U) 1(V > a)] for standard normals (U, V) with correlation RHO
+        s = math.sqrt(1.0 - self.RHO ** 2)
+
+        def integrand(t):
+            return stats.norm.pdf(t) * ndtr(t) * ndtr((self.RHO * t - a) / s)
+
+        return integrate.quad(integrand, -math.inf, math.inf,
+                              epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_kendall(self, point):
+        # 4 P[(X - x)(Y - y) > 0] - 2 - 2 tau
+        x, y = point
+        joint = stats.multivariate_normal.cdf(
+            [x, y], mean=[0.0, 0.0], cov=[[1.0, self.RHO], [self.RHO, 1.0]])
+        concordant = 1.0 - ndtr(x) - ndtr(y) + 2.0 * joint
+        tau = 2.0 / math.pi * math.asin(self.RHO)
+        expected = 4.0 * concordant - 2.0 - 2.0 * tau
+        assert aesf(_req("kendall", GAUSS, point)) == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_spearman(self, point):
+        # -3 rho_S - 9 + 12 {Phi(x) Phi(y) + E[Phi(X) 1(Y > y)] + E[Phi(Y) 1(X > x)]}
+        x, y = point
+        rho_s = 6.0 / math.pi * math.asin(self.RHO / 2.0)
+        expected = -3.0 * rho_s - 9.0 + 12.0 * (
+            ndtr(x) * ndtr(y) + self._phi_above(y) + self._phi_above(x))
+        assert aesf(_req("spearman", GAUSS, point)) == pytest.approx(expected, abs=1e-8)
 
 
 class TestChatterjeeAesf:

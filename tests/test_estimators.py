@@ -16,6 +16,7 @@ from aesf import (
     kendall_tau_quadratic,
     sample,
     scenario,
+    sf,
     spearman_s,
 )
 
@@ -167,3 +168,8 @@ class TestMonotoneInvariance:
         assert kendall_tau(warped) == kendall_tau(ds)
         assert spearman_s(warped) == spearman_s(ds)
         assert chatterjee_xi(warped) == chatterjee_xi(ds)
+        # and so do their sensitivities, with the insertion point warped too
+        point = (float(np.mean(ds.xs)), float(np.mean(ds.ys)))
+        warped_point = (float(np.exp(point[0])), float(np.arctan(point[1]) * 3.0 + 1.0))
+        for tag in ("kendall", "spearman", "chatterjee"):
+            assert sf(tag, warped, warped_point) == sf(tag, ds, point)

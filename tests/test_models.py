@@ -111,6 +111,53 @@ class TestSampling:
             sample(object(), 3, 1)
 
 
+class TestBatchedSampling:
+    """The batched draws reproduce numpy's SeedSequence, Philox and ``sample``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1])
+    def test_derive_seeds_match_seed_sequence(self, seed):
+        replicates = np.r_[np.arange(300), 2 ** 31, 2 ** 32 - 1]
+        expected = [np.random.SeedSequence([seed, int(r), 0]).generate_state(1, np.uint64)[0]
+                    for r in replicates]
+        got = models.derive_seeds(seed, replicates)
+        assert got.dtype == np.uint64 and got.tolist() == [int(e) for e in expected]
+
+    def test_derive_seeds_reject_indices_outside_32_bits(self):
+        for bad in (-1, 2 ** 32):
+            with pytest.raises(DomainError):
+                models.derive_seeds(3, [0, bad])
+
+    def test_philox_kernel_matches_random_raw(self):
+        keys = [0, 1, 2 ** 63, 2 ** 64 - 1] + [derive_seed(9, r) for r in range(60)]
+        for count in (1, 4, 103):
+            raw = models._philox_raw(keys, count)
+            assert raw.shape == (len(keys), count)
+            for key, row in zip(keys, raw):
+                assert row.tolist() == np.random.Philox(key=key).random_raw(count).tolist()
+
+    @pytest.mark.parametrize("model", [
+        UnivariateNormal(0.3, 2.5), UniformMax(1.7), BivariateGaussian(0.7), scenario("A"),
+        scenario("B"), scenario("C"), IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0)),
+    ])
+    @pytest.mark.parametrize("n", [5, 600])  # streams drawn by the kernel, then by numpy
+    def test_batches_equal_per_replicate_samples(self, model, n, monkeypatch):
+        # 3 replicates per batch, so 40 replicates end in a short batch; at
+        # n = 5 the seeds are derived in blocks of fewer than 40 replicates
+        words = n * (2 if models.is_bivariate(model) else 1)
+        monkeypatch.setattr(models, "_CHUNK_WORDS", 3 * words + 1)
+        seen = 0
+        for start, xs, ys in models.sample_batches(model, n, 41, 40):
+            assert start == seen and xs.shape == (min(3, 40 - start), n)
+            for r in range(start, start + len(xs)):
+                ds = sample(model, n, derive_seed(41, r))
+                assert xs[r - start].tobytes() == ds.xs.tobytes()
+                assert (ys is None) == (ds.ys is None)
+                if ys is not None:
+                    assert ys[r - start].tobytes() == ds.ys.tobytes()
+            seen += len(xs)
+        assert seen == 40
+
+
 class TestGaussianIsAdditiveNoise:
     """BivariateGaussian(rho) is the law Y = rho X + sqrt(1 - rho^2) Z."""
 

@@ -12,7 +12,10 @@ from aesf import (
     Dataset,
     DomainError,
     FunctionalId,
+    IndependentProduct,
+    NormalLaw,
     TieError,
+    UniformLaw,
     UniformMax,
     UnivariateNormal,
     convergence_study,
@@ -20,10 +23,14 @@ from aesf import (
     esf_mc,
     estimate,
     sample,
+    scenario,
     sf,
     sf_distribution,
     sf_kendall_incremental,
 )
+from aesf import models
+from aesf.estimators import as_functional
+from aesf.sensitivity import _replicate_sf
 
 UNIV = Dataset(np.array([1.0, 2.0, 3.0]))
 
@@ -169,6 +176,65 @@ class TestSfDistribution:
         for r, v in enumerate(values):
             ds = sample(model, n, derive_seed(seed, r, 0))
             assert v + ds.xs.mean() == pytest.approx(x, abs=1e-12)
+
+
+def _reference(f, model, n, point, replicates, seed):
+    """esf_mc computed from the per-replicate loop over ``_replicate_sf``."""
+    results = [_replicate_sf(as_functional(f), model, n, point, seed, r)
+               for r in range(replicates)]
+    values = np.array([v for v, _ in results])
+    std_error = float(np.std(values, ddof=1) / math.sqrt(replicates))
+    return values, float(np.mean(values)), std_error, sum(a for _, a in results)
+
+
+def _assert_batched_equals_reference(f, model, n, point, replicates, seed):
+    values, value, std_error, resamples = _reference(f, model, n, point, replicates, seed)
+    mc = esf_mc(f, model, n, point, replicates, seed)
+    assert (mc.value, mc.std_error, mc.tie_resamples) == (value, std_error, resamples)
+    assert sf_distribution(f, model, n, point, replicates, seed).tobytes() == values.tobytes()
+    return mc
+
+
+UNIVARIATE_FUNCTIONALS = [FunctionalId("mean"), FunctionalId("variance"),
+                          FunctionalId("uniform_max")] + [
+    FunctionalId("phi_linear", g=g, phi=phi)
+    for g in ("identity", "square") for phi in ("identity", "square", "sine")]
+
+
+class TestBatchedEngine:
+    """The batched replicates are bit-identical to the per-replicate loop."""
+
+    @pytest.mark.parametrize("model", [UnivariateNormal(0.3, 2.5), UniformMax(1.7)])
+    @pytest.mark.parametrize("f", UNIVARIATE_FUNCTIONALS, ids=lambda f: f"{f.tag}-{f.g}-{f.phi}")
+    def test_univariate_functionals(self, f, model):
+        for n, replicates in ((1, 5), (40, 300)):
+            _assert_batched_equals_reference(f, model, n, 0.9, replicates, 11)
+
+    @pytest.mark.parametrize("model", [
+        BivariateGaussian(0.7), scenario("A"), scenario("B"), scenario("C"),
+        IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0))])
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
+    def test_rank_functionals(self, tag, model):
+        _assert_batched_equals_reference(tag, model, 30, (0.1, 0.2), 40, 5)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # 7, then 3 replicates per batch, then replicates larger than a whole
+        # batch (streams long enough to come from numpy's Philox)
+        monkeypatch.setattr(models, "_CHUNK_WORDS", 7 * 25)
+        _assert_batched_equals_reference("variance", UnivariateNormal(0.0, 1.0), 25, 2.0, 50, 3)
+        _assert_batched_equals_reference("spearman", BivariateGaussian(0.5), 25, (0.3, 0.1),
+                                         17, 3)
+        _assert_batched_equals_reference("mean", UnivariateNormal(0.0, 1.0), 600, 1.0, 9, 3)
+
+    def test_forced_ties_count_as_in_the_reference(self, monkeypatch):
+        # planted collisions in replicates 2 and 5, at attempt 0, inside one
+        # batch and at the start of the next
+        monkeypatch.setattr(models, "_CHUNK_WORDS", 5 * 60)
+        m = BivariateGaussian(0.5)
+        x = float(sample(m, 30, derive_seed(777, 2, 0)).xs[4])
+        y = float(sample(m, 30, derive_seed(777, 5, 0)).ys[9])
+        mc = _assert_batched_equals_reference("kendall", m, 30, (x, y), 12, 777)
+        assert mc.tie_resamples == 2
 
 
 class TestConvergenceStudy:
