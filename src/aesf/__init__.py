@@ -23,7 +23,6 @@ from .estimators import (
     chatterjee_xi,
     estimate,
     kendall_tau,
-    kendall_tau_quadratic,
     spearman_s,
 )
 from .models import (

@@ -278,7 +278,11 @@ def _cmd_converge(args) -> dict:
     _say(args, f"wrote {args.out}")
     return {"file": args.out,
             "target": curve.target,
-            "esf": [mc.value for mc in curve.estimates]}
+            "esf": [mc.value for mc in curve.estimates],
+            # Not "std_error" and "tie_resamples": perfbench reads those keys
+            # as one command's numbers.
+            "std_error_per_n": [mc.std_error for mc in curve.estimates],
+            "tie_resamples_per_n": [mc.tie_resamples for mc in curve.estimates]}
 
 
 def _cmd_sfdist(args) -> dict:

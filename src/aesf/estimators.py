@@ -2,7 +2,8 @@
 
 All rank statistics assume continuous data: ties in x or in y raise
 ``TieError`` instead of being broken arbitrarily, since every downstream
-sensitivity quantity is derived under a no-ties assumption.
+sensitivity quantity is derived under a no-ties assumption. Along the rows
+of an array, ``rank_sums`` flags the rows that tie instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ __all__ = [
     "estimate",
     "estimate_rows",
     "kendall_tau",
-    "kendall_tau_quadratic",
+    "rank_from_sum",
+    "rank_sums",
     "spearman_s",
     "chatterjee_xi",
 ]
@@ -142,8 +144,6 @@ def _find_ties(values: np.ndarray, label: str) -> None:
 def _require_rank_data(ds: Dataset) -> None:
     if not ds.is_bivariate:
         raise DomainError("rank correlation requires paired (x, y) data")
-    if ds.n < 2:
-        raise DomainError("rank correlation requires at least 2 observations")
     _find_ties(ds.xs, "x")
     _find_ties(ds.ys, "y")
 
@@ -156,11 +156,7 @@ def estimate(f, ds: Dataset) -> float:
     if f.is_bivariate:
         if not ds.is_bivariate:
             raise DomainError(f"{f.tag} requires paired (x, y) data")
-        if f.tag == "kendall":
-            return kendall_tau(ds)
-        if f.tag == "spearman":
-            return spearman_s(ds)
-        return chatterjee_xi(ds)
+        return _rank_estimate(f.tag, ds)
 
     return float(estimate_rows(f, ds.xs))
 
@@ -184,87 +180,115 @@ def estimate_rows(f: FunctionalId, xs: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Kendall's correlation: two routes to the same concordance sum
+# Rank correlations: one exact integer sum per row, then one float expression
 # ---------------------------------------------------------------------------
 
-def _count_inversions(a: np.ndarray) -> int:
-    """Number of pairs i < j with a[i] > a[j], by bottom-up merge counting.
+def _count_inversions(p: np.ndarray) -> np.ndarray:
+    """Pairs i < j with p[r, i] > p[r, j], for each row r of a (rows, n)
+    array whose rows are permutations of 0 .. n - 1.
 
-    Each level merges adjacent sorted blocks; a stable argsort of the
-    concatenated pair tells, for every right-block element, how many
-    left-block elements exceed it. +inf padding keeps block counts a power
-    of two and contributes no inversions.
+    Two values first differ in some bit b, the larger one holding a 1, so
+    each inversion is counted once: at level b, as a 1 before a 0 within a
+    group of equal ``v >> (b + 1)``. The levels run from the top bit down
+    and each stably partitions every group by bit b (a counting sort), so
+    the groups of the next level are contiguous again. The rows are laid out
+    as one sequence of r * 2^k + p, each padded with n .. 2^k - 1, which adds
+    no inversion; group q then starts at q * 2^(b + 1) and every earlier
+    group holds 2^b ones.
     """
-    n = a.size
-    if n < 2:
-        return 0
-    padded = 1 << (n - 1).bit_length()
-    buf = np.full(padded, np.inf)
-    buf[:n] = a
-    arr = buf.reshape(-1, 1)
-    total = 0
-    width = 1
-    while width < padded:
-        merged = np.concatenate([arr[0::2], arr[1::2]], axis=1)
-        order = np.argsort(merged, axis=1, kind="stable")
-        from_left = order < width
-        left_so_far = np.cumsum(from_left, axis=1)
-        total += int(((width - left_so_far) * ~from_left).sum())
-        arr = np.take_along_axis(merged, order, axis=1)
-        width *= 2
+    rows, n = p.shape
+    k = (n - 1).bit_length()
+    size = 1 << k
+    v = np.empty((rows, size), dtype=np.int64)
+    v[:, :n] = p
+    v[:, n:] = np.arange(n, size)
+    v += (np.arange(rows, dtype=np.int64) << k)[:, None]
+    v = v.ravel()
+    pos = np.arange(v.size)
+    total = np.zeros(rows, dtype=np.int64)
+    for b in range(k - 1, -1, -1):
+        high = v >> b
+        bit = high & 1
+        ones = np.cumsum(bit)
+        earlier = (high >> 1) << b  # ones in the earlier groups
+        total += ((1 - bit) * (ones - earlier)).reshape(rows, size).sum(axis=1)
+        if b:
+            # A 0 moves back past the ones before it in its group; a 1 moves
+            # to its group's start, past the group's 2^b zeros and the ones
+            # before it.
+            to = pos - ones + bit * (2 * ones + (1 << b) - 1 - pos) + earlier
+            grouped = np.empty_like(v)
+            grouped[to] = v
+            v = grouped
     return total
 
 
-def _tau_from_sum(s: int, n: int) -> float:
-    return 2.0 * s / (n * (n - 1))
+def _argsort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorting permutation of each row and whether the row holds a tie.
+
+    Tie-free rows sort in one order only, so any sort kind gives the
+    permutation a stable sort gives; the order of a tied row is not used.
+    """
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    return order, np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
 
 
-def concordance_sum_quadratic(xs: np.ndarray, ys: np.ndarray) -> int:
-    """sum over i<j of sgn[(x_i - x_j)(y_i - y_j)], with sgn(0) = +1."""
-    prod = (xs[:, None] - xs[None, :]) * (ys[:, None] - ys[None, :])
-    signs = np.where(prod >= 0, 1, -1)
-    iu = np.triu_indices(xs.size, k=1)
-    return int(signs[iu].sum())
+def rank_sums(tag: str, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact integer sum behind a rank correlation, along the rows of
+    (rows, n) ``xs`` and ``ys``, and a mask of the rows that hold a tie in x
+    or in y (their sums mean nothing).
+
+    With r_i the rank of y_(i), the y value of the i-th smallest x, the
+    sums are: Kendall's concordance sum, n(n - 1)/2 - 2 * #inversions of r;
+    Spearman's sum of squared rank differences, sum (r_i - i)^2; and
+    Chatterjee's sum of rank jumps, sum |r_(i+1) - r_i|.
+    """
+    n = xs.shape[1]
+    if n < 2:
+        raise DomainError("rank correlation requires at least 2 observations")
+    x_order, x_tied = _argsort_rows(xs)
+    y_order, y_tied = _argsort_rows(ys)
+    y_ranks = np.empty_like(y_order)
+    np.put_along_axis(y_ranks, y_order, np.arange(n), axis=1)
+    r = np.take_along_axis(y_ranks, x_order, axis=1)
+    if tag == "kendall":
+        sums = n * (n - 1) // 2 - 2 * _count_inversions(r)
+    elif tag == "spearman":
+        d = r - np.arange(n)
+        sums = (d * d).sum(axis=1)
+    else:
+        sums = np.abs(np.diff(r, axis=1)).sum(axis=1)
+    return sums, x_tied | y_tied
 
 
-def concordance_sum_mergesort(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Same sum for tie-free data, via O(n log n) inversion counting."""
-    n = xs.size
-    order = np.argsort(xs, kind="stable")
-    discordant = _count_inversions(ys[order])
-    return n * (n - 1) // 2 - 2 * discordant
+def rank_from_sum(tag: str, sums, n: int):
+    """The float each rank correlation makes of its integer sum at size n.
+
+    Equal sums give equal floats, whether they come one at a time or as
+    rows of an array.
+    """
+    if tag == "kendall":
+        return 2.0 * sums / (n * (n - 1))
+    if tag == "spearman":
+        return 1.0 - 6.0 * sums / (n * (n - 1) * (n + 1))
+    return 1.0 - 3.0 * sums / (n * n - 1)
+
+
+def _rank_estimate(tag: str, ds: Dataset) -> float:
+    _require_rank_data(ds)
+    sums, _ = rank_sums(tag, ds.xs[None], ds.ys[None])
+    return float(rank_from_sum(tag, sums[0], ds.n))
 
 
 def kendall_tau(ds: Dataset) -> float:
     """Kendall's correlation, from the O(n log n) concordance sum."""
-    _require_rank_data(ds)
-    return _tau_from_sum(concordance_sum_mergesort(ds.xs, ds.ys), ds.n)
-
-
-def kendall_tau_quadratic(ds: Dataset) -> float:
-    """Reference O(n^2) evaluation of Kendall's correlation.
-
-    Both concordance sums are the same integer on tie-free data, so this and
-    ``kendall_tau`` give bit-identical floats.
-    """
-    _require_rank_data(ds)
-    return _tau_from_sum(concordance_sum_quadratic(ds.xs, ds.ys), ds.n)
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Rank of each entry among distinct values: 1 + #{j : v_j < v_i}."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.arange(1, values.size + 1)
-    return ranks
+    return _rank_estimate("kendall", ds)
 
 
 def spearman_s(ds: Dataset) -> float:
     """Spearman's rank correlation 1 - 6 sum d_i^2 / (n(n-1)(n+1))."""
-    _require_rank_data(ds)
-    n = ds.n
-    d = _ranks(ds.xs) - _ranks(ds.ys)
-    return 1.0 - 6.0 * int((d * d).sum()) / (n * (n - 1) * (n + 1))
+    return _rank_estimate("spearman", ds)
 
 
 def chatterjee_xi(ds: Dataset) -> float:
@@ -273,8 +297,4 @@ def chatterjee_xi(ds: Dataset) -> float:
     The r_i are ranks of the y values taken in increasing-x order, so the
     statistic is deliberately asymmetric in (x, y).
     """
-    _require_rank_data(ds)
-    n = ds.n
-    concomitant_ranks = _ranks(ds.ys[np.argsort(ds.xs, kind="stable")])
-    jumps = int(np.abs(np.diff(concomitant_ranks)).sum())
-    return 1.0 - 3.0 * jumps / (n * n - 1)
+    return _rank_estimate("chatterjee", ds)

@@ -510,15 +510,26 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
 #: bounds its working memory (about 1 MB) whatever n and the replicate count.
 _CHUNK_WORDS = 1 << 14
 
-#: Longest per-replicate stream that ``_philox_raw`` draws. Beyond about 400
-#: words, numpy's compiled Philox, built once per key, is the faster of the two.
+#: Longest per-replicate stream that ``_philox_raw`` draws; longer streams
+#: come from numpy's compiled Philox, which costs less per word.
 _KERNEL_MAX_WORDS = 512
 
 
 def _raw_words(keys: np.ndarray, count: int) -> np.ndarray:
     if count <= _KERNEL_MAX_WORDS:
         return _philox_raw(keys, count)
-    return np.array([np.random.Philox(key=k).random_raw(count) for k in keys.tolist()])
+    # One Philox set to each key in turn: Philox(key=k) starts at key (k, 0),
+    # counter 0 and an empty buffer, and building one per key costs a
+    # throwaway OS-entropy SeedSequence besides.
+    bitgen = np.random.Philox(0)
+    zeros = np.zeros(4, dtype=np.uint64)
+    words = np.empty((len(keys), count), dtype=np.uint64)
+    for row, k in zip(words, keys.tolist()):
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": zeros, "key": np.array([k, 0], dtype=np.uint64)},
+                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        row[:] = bitgen.random_raw(count)
+    return words
 
 
 def sample_batches(model: Model, n: int, seed: int, replicates: int):

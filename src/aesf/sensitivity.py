@@ -8,11 +8,11 @@ and replicates are aggregated in index order.
 
 Replicates run in batches at attempt 0: ``models.sample_batches`` draws the
 samples of many replicates as (rows, n) arrays, univariate functionals get
-their SFs along the rows from ``estimate_rows``, and rank functionals get
-``sf`` row by row. A replicate whose sample or insertion ties falls back to
-the per-replicate path (``sample`` on ``derive_seed(seed, r, attempt)``)
-from attempt 1 on. Every value is the float that the per-replicate loop
-over ``_replicate_sf`` gives.
+their SFs along the rows from ``estimate_rows``, and rank functionals from
+exact integer sums along the rows (``_rank_sf_rows``). A replicate whose
+sample or insertion ties falls back to the per-replicate path (``sample``
+on ``derive_seed(seed, r, attempt)``) from attempt 1 on. Every value is the
+float that the per-replicate loop over ``_replicate_sf`` gives.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import closedform
 from .errors import AesfError, DomainError, TieError, UnsupportedError
-from .estimators import (Dataset, FunctionalId, as_functional, estimate, estimate_rows,
-                         kendall_tau)
+from .estimators import (Dataset, FunctionalId, _require_rank_data, as_functional, estimate,
+                         estimate_rows, rank_from_sum, rank_sums)
 from .models import Model, derive_seed, is_bivariate, sample, sample_batches
 
 __all__ = [
@@ -93,14 +93,7 @@ def _check_point(f: FunctionalId, point):
     return point
 
 
-def sf(f, ds: Dataset, point) -> float:
-    """Scaled change (n+1) * [R(sample + point) - R(sample)].
-
-    Computed by actually re-evaluating the estimator on the grown sample.
-    For rank-based functionals an insertion that duplicates an existing
-    coordinate raises ``TieError``.
-    """
-    f = as_functional(f)
+def _check_insertion(f: FunctionalId, ds: Dataset, point):
     point = _check_point(f, point)
     if f.is_bivariate:
         px, py = point
@@ -110,23 +103,62 @@ def sf(f, ds: Dataset, point) -> float:
             raise DomainError(f"{f.tag} requires paired (x, y) data")
         if np.any(ds.ys == py):
             raise TieError(f"inserted y={py!r} duplicates an existing y value")
+    return point
+
+
+def sf(f, ds: Dataset, point) -> float:
+    """Scaled change (n+1) * [R(sample + point) - R(sample)].
+
+    Computed by actually re-evaluating the estimator on the grown sample.
+    For rank-based functionals an insertion that duplicates an existing
+    coordinate raises ``TieError``.
+    """
+    f = as_functional(f)
+    point = _check_insertion(f, ds, point)
     base = estimate(f, ds)
     grown = estimate(f, ds.insert(point))
     return (ds.n + 1) * (grown - base)
 
 
-def sf_kendall_incremental(ds: Dataset, point) -> float:
-    """O(n log n) sensitivity of Kendall's correlation without re-evaluation.
+def _rank_sf_rows(tag: str, xs: np.ndarray, ys: np.ndarray,
+                  point) -> tuple[np.ndarray, np.ndarray]:
+    """``sf`` of a rank correlation on each row of (rows, n) ``xs`` and ``ys``,
+    and a mask of the rows on which ``sf`` raises ``TieError`` (their values
+    mean nothing).
 
-    Uses the U-statistic update: (2/n) sum_i sgn[(X_i - x)(Y_i - y)] minus
-    twice the current correlation. Must agree with ``sf`` to 1e-12; tests
-    enforce that.
+    The grown sample's integer sum goes through the float expression the
+    sample's goes through, so each value is the float ``sf`` gives. Kendall's
+    grown sum is S_n + sum_i s_i(z) (notes/decisions.md), with the sign
+    s_i(z) of (X_i - x)(Y_i - y) taken by comparison: the product of the two
+    differences can underflow to 0. Spearman's and Chatterjee's come from
+    ranking the grown rows.
     """
-    px, py = _check_point(FunctionalId("kendall"), point)
-    if np.any(ds.xs == px) or np.any(ds.ys == py):
-        raise TieError("inserted point duplicates an existing coordinate")
-    signs = np.where((ds.xs - px) * (ds.ys - py) >= 0, 1, -1)
-    return 2.0 * int(signs.sum()) / ds.n - 2.0 * kendall_tau(ds)
+    px, py = point
+    n = xs.shape[1]
+    base, tied = rank_sums(tag, xs, ys)
+    tied |= np.any(xs == px, axis=1) | np.any(ys == py, axis=1)
+    if tag == "kendall":
+        grown = base + 2 * np.count_nonzero((xs > px) == (ys > py), axis=1) - n
+    else:
+        column = (len(xs), 1)
+        grown, _ = rank_sums(tag, np.concatenate((xs, np.full(column, px)), axis=1),
+                             np.concatenate((ys, np.full(column, py)), axis=1))
+    return (n + 1) * (rank_from_sum(tag, grown, n + 1) - rank_from_sum(tag, base, n)), tied
+
+
+def sf_kendall_incremental(ds: Dataset, point) -> float:
+    """Sensitivity of Kendall's correlation from one concordance sum.
+
+    The one-row case of the batched Monte Carlo replicates: the grown
+    sample's sum is updated by the n signs of the inserted point instead of
+    being counted again. It equals ``sf("kendall", ds, point)`` bit for bit;
+    tests enforce that.
+    """
+    f = FunctionalId("kendall")
+    point = _check_insertion(f, ds, point)
+    _require_rank_data(ds)
+    values, _ = _rank_sf_rows(f.tag, ds.xs[None], ds.ys[None], point)
+    return float(values[0])
 
 
 def _check_model_functional(f: FunctionalId, model: Model) -> None:
@@ -158,18 +190,16 @@ def _replicate_values(f: FunctionalId, model: Model, n: int, point,
     values = np.empty(replicates)
     resamples = 0
     for start, xs, ys in sample_batches(model, n, seed, replicates):
+        rows = slice(start, start + len(xs))
         if not f.is_bivariate:
             # sf's arithmetic on every row: (n + 1) * (grown - base).
             grown = np.concatenate((xs, np.full((len(xs), 1), point)), axis=1)
-            values[start:start + len(xs)] = (n + 1) * (estimate_rows(f, grown)
-                                                       - estimate_rows(f, xs))
+            values[rows] = (n + 1) * (estimate_rows(f, grown) - estimate_rows(f, xs))
             continue
-        for r, (x_row, y_row) in enumerate(zip(xs, ys), start):
-            try:
-                values[r] = sf(f, Dataset(x_row, y_row), point)
-            except TieError:
-                values[r], attempt = _replicate_sf(f, model, n, point, seed, r, 1)
-                resamples += attempt
+        values[rows], tied = _rank_sf_rows(f.tag, xs, ys, point)
+        for r in np.flatnonzero(tied).tolist():
+            values[start + r], attempt = _replicate_sf(f, model, n, point, seed, start + r, 1)
+            resamples += attempt
     return values, resamples
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aesf import AesfRequest, FunctionalId, aesf, esf_exact, scenario
+from aesf import (AesfRequest, BivariateGaussian, FunctionalId, aesf, derive_seed, esf_exact,
+                  esf_mc, sample, scenario)
 from aesf import cli
 from aesf.cli import main
 from aesf.models import UnivariateNormal
@@ -291,6 +292,24 @@ class TestConverge:
                 "--replicates", "60", "--threads", threads, "--out", str(out_csv))
             outs.append(out_csv.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+    def test_json_reports_std_errors_and_tie_resamples(self, capsys, tmp_path):
+        # the insertion x is a value replicate 0 samples at every n
+        seed, schedule, m = 5, (20, 40, 80), BivariateGaussian(0.7)
+        x = float(sample(m, 20, derive_seed(seed, 0)).xs[3])
+        out_csv = tmp_path / "conv.csv"
+        code, out, _ = run(capsys, "converge", "--model", GAUSS_JSON, "--functional", "kendall",
+                           "--x", repr(x), "--y", "0", "--schedule", "20,40,80",
+                           "--replicates", "30", "--seed", str(seed), "--out", str(out_csv),
+                           "--json")
+        assert code == 0
+        result = json.loads(out.splitlines()[-1])["result"]
+        expected = [esf_mc("kendall", m, n, (x, 0.0), 30, seed) for n in schedule]
+        assert result["esf"] == [mc.value for mc in expected]
+        assert result["std_error_per_n"] == [mc.std_error for mc in expected]
+        assert result["tie_resamples_per_n"] == [mc.tie_resamples for mc in expected]
+        assert min(result["tie_resamples_per_n"]) >= 1
 
 
 class TestSfdist:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from aesf import (
     Dataset,
@@ -13,7 +14,6 @@ from aesf import (
     chatterjee_xi,
     estimate,
     kendall_tau,
-    kendall_tau_quadratic,
     sample,
     scenario,
     sf,
@@ -25,6 +25,18 @@ THREE = Dataset(np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 3.0]))
 
 def _random_pairs(rng, n):
     return Dataset(rng.standard_normal(n), rng.standard_normal(n))
+
+
+def _concordance_sum_quadratic(xs, ys):
+    """Reference O(n^2) sum over i < j of sgn[(x_i - x_j)(y_i - y_j)] on
+    tie-free data, each sign by comparison."""
+    concordant = (xs[:, None] > xs[None, :]) == (ys[:, None] > ys[None, :])
+    upper = np.triu_indices(xs.size, k=1)
+    return int(np.where(concordant, 1, -1)[upper].sum())
+
+
+def _kendall_tau_quadratic(ds):
+    return 2.0 * _concordance_sum_quadratic(ds.xs, ds.ys) / (ds.n * (ds.n - 1))
 
 
 class TestEstimate:
@@ -88,7 +100,13 @@ class TestKendall:
         rng = np.random.default_rng(42)
         for _ in range(1000):
             ds = _random_pairs(rng, int(rng.integers(2, 60)))
-            assert kendall_tau(ds) == kendall_tau_quadratic(ds)
+            assert kendall_tau(ds) == _kendall_tau_quadratic(ds)
+
+    def test_signs_survive_underflow(self):
+        # (0 - 1e-200) * (0 + 1e-200) underflows to -0.0, which a sign taken
+        # from the product reads as concordant
+        ds = Dataset(np.array([0.0, 1e-200, 1.0]), np.array([0.0, -1e-200, 2.0]))
+        assert kendall_tau(ds) == _kendall_tau_quadratic(ds) == 1.0 / 3.0
 
     def test_ties_rejected_with_rows(self):
         with pytest.raises(TieError) as err:
@@ -148,6 +166,19 @@ class TestChatterjee:
         assert chatterjee_xi(ds) != chatterjee_xi(flipped)
         # y is nearly a function of x but not conversely
         assert chatterjee_xi(ds) > chatterjee_xi(flipped) + 0.2
+
+
+def test_rank_statistics_match_oracles_across_powers_of_two():
+    # the inversion count pads each row to a power of two
+    rng = np.random.default_rng(5)
+    for n in (63, 64, 65, 255, 256, 257, 1023, 1024, 1025):
+        ds = _random_pairs(rng, n)
+        assert kendall_tau(ds) == _kendall_tau_quadratic(ds)
+        rx, ry = rankdata(ds.xs), rankdata(ds.ys)
+        squares = int(((rx - ry) ** 2).sum())
+        assert spearman_s(ds) == 1.0 - 6.0 * squares / (n * (n - 1) * (n + 1))
+        jumps = int(np.abs(np.diff(ry[np.argsort(ds.xs)])).sum())
+        assert chatterjee_xi(ds) == 1.0 - 3.0 * jumps / (n * n - 1)
 
 
 @st.composite

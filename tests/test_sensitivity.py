@@ -106,8 +106,15 @@ class TestKendallIncremental:
             n = int(rng.integers(2, 120))
             ds = Dataset(rng.standard_normal(n), rng.standard_normal(n))
             point = (float(rng.standard_normal()), float(rng.standard_normal()))
-            assert sf_kendall_incremental(ds, point) == pytest.approx(
-                sf("kendall", ds, point), abs=1e-12)
+            assert sf_kendall_incremental(ds, point) == sf("kendall", ds, point)
+
+    def test_signs_survive_underflow(self):
+        # (1e-200 - 0) * (-1e-200 - 0) underflows to -0.0, which a sign taken
+        # from the product reads as concordant; S_4 = 6 and the four signs
+        # sum to 2, so S_5 = 8
+        ds = Dataset(np.array([1e-200, 1.0, 2.0, -1.0]), np.array([-1e-200, 0.5, 3.0, -2.0]))
+        expected = 5 * (2.0 * 8 / 20 - 2.0 * 6 / 12)
+        assert sf_kendall_incremental(ds, (0.0, 0.0)) == sf("kendall", ds, (0.0, 0.0)) == expected
 
 
 class TestEsfMc:
@@ -235,6 +242,55 @@ class TestBatchedEngine:
         y = float(sample(m, 30, derive_seed(777, 5, 0)).ys[9])
         mc = _assert_batched_equals_reference("kendall", m, 30, (x, y), 12, 777)
         assert mc.tie_resamples == 2
+
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
+    def test_rank_chunk_boundaries_at_n_1600(self, tag, monkeypatch):
+        model = IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0))
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(models, "_CHUNK_WORDS", rows * 2 * 1600)
+            _assert_batched_equals_reference(tag, model, 1600, (0.0, 0.5), 7, 19)
+
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
+    def test_ties_inside_the_sample_count_as_in_the_reference(self, tag, monkeypatch):
+        # A stream whose first x word is 0 mod 4 repeats an x value and one
+        # whose first y word is 1 mod 4 repeats a y value, at every attempt;
+        # the batches and the per-replicate samples both map bits through
+        # _from_bits. The insertion also ties with replicate 3's sample.
+        from_bits = models._from_bits
+
+        def planted(model, bits):
+            xs, ys = from_bits(model, bits)
+            xs[..., 7:8] = np.where(bits[0, ..., :1] % 4 == 0, xs[..., 2:3], xs[..., 7:8])
+            ys[..., 9:10] = np.where(bits[1, ..., :1] % 4 == 1, ys[..., 4:5], ys[..., 9:10])
+            return xs, ys
+
+        monkeypatch.setattr(models, "_from_bits", planted)
+        monkeypatch.setattr(models, "_CHUNK_WORDS", 5 * 60)
+        m = BivariateGaussian(0.5)
+        x = float(sample(m, 30, derive_seed(777, 3, 0)).xs[5])
+        mc = _assert_batched_equals_reference(tag, m, 30, (x, 0.25), 40, 777)
+        assert mc.tie_resamples >= 10
+
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
+    def test_smallest_rank_sample(self, tag):
+        m = BivariateGaussian(0.5)
+        _assert_batched_equals_reference(tag, m, 2, (0.1, 0.2), 40, 5)
+        with pytest.raises(DomainError) as batched:
+            esf_mc(tag, m, 1, (0.1, 0.2), 10, 5)
+        with pytest.raises(DomainError) as reference:
+            _reference(tag, m, 1, (0.1, 0.2), 10, 5)
+        assert str(batched.value) == str(reference.value)
+
+    def test_incremental_kendall_is_sf(self):
+        # sizes on both sides of powers of two, and magnitudes whose
+        # products underflow
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(2, 1100))
+            scale = 10.0 ** float(rng.choice([0, -160, -200]))
+            ds = Dataset(rng.standard_normal(n) * scale, rng.standard_normal(n) * scale)
+            point = (float(rng.standard_normal()) * scale, float(rng.standard_normal()) * scale)
+            assert sf_kendall_incremental(ds, point) == sf("kendall", ds, point)
 
 
 class TestConvergenceStudy:
