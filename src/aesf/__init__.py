@@ -8,7 +8,7 @@ linear functionals, and the Kendall, Spearman and Chatterjee rank
 correlations.
 """
 
-from .closedform import AesfRequest, aesf, esf_exact, is_supported, population_value
+from .closedform import AesfRequest, aesf, aesf_many, esf_exact, is_supported, population_value
 from .errors import (
     AesfError,
     DomainError,

@@ -40,6 +40,9 @@ from .estimators import Dataset, FunctionalId, estimate
 DEFAULT_SEED = 0x5EED_AE5F
 _FMT = "{:.12g}"
 
+#: Most CSV rows that are turned into Python floats at once.
+_CHUNK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -140,11 +143,12 @@ def _functional_json(f: FunctionalId) -> dict:
     return out
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
+    line = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT.format(v) for v in row) + "\n")
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            fh.writelines(line.format(*row) for row in rows[start:start + _CHUNK_ROWS].tolist())
 
 
 def _say(args, message: str) -> None:
@@ -211,10 +215,11 @@ def _figure_presets(figure: int, nx: int, ny: int):
     return jobs
 
 
-def _grid_values(f: FunctionalId, model, grid: GridSpec) -> list[tuple]:
-    # row-major, y inner
-    return [(x, y, closedform.aesf(closedform.AesfRequest(f, model, (x, y))))
-            for x in grid.xs() for y in grid.ys()]
+def _grid_values(f: FunctionalId, model, grid: GridSpec) -> np.ndarray:
+    """(x, y, aesf) rows over the grid, row-major with y inner."""
+    xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    points = np.column_stack((xs.ravel(), ys.ravel()))
+    return np.column_stack((points, closedform.aesf_many(f, model, points)))
 
 
 def _with_suffix(path: str, suffix: str) -> str:
@@ -250,16 +255,14 @@ def _cmd_aesf_grid(args) -> dict:
             if not closedform.is_supported("kendall", model):
                 raise UnsupportedError("figure 3 needs a Gaussian model")
             kend = _grid_values(FunctionalId("kendall"), model, grid)
-            spear = _grid_values(FunctionalId("spearman"), model, grid)
-            rows = [(x, y, k, s, abs(k) - abs(s))
-                    for (x, y, k), (_, _, s) in zip(kend, spear)]
+            spear = _grid_values(FunctionalId("spearman"), model, grid)[:, 2:]
+            rows = np.hstack((kend, spear, np.abs(kend[:, 2:]) - np.abs(spear)))
             _write_csv(out, ["x", "y", "aesf_kendall", "aesf_spearman", "abs_diff"], rows)
         else:
             if not closedform.is_supported(f, model):
                 raise UnsupportedError(
                     f"no closed form for {f.tag!r} under {type(model).__name__}")
-            _write_csv(out, ["x", "y", "aesf"],
-                       _grid_values(f, model, grid))
+            _write_csv(out, ["x", "y", "aesf"], _grid_values(f, model, grid))
         files.append(out)
         _say(args, f"wrote {out}")
     return {"files": files}

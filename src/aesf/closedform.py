@@ -2,8 +2,13 @@
 
 These are the analytic oracles the Monte Carlo engine is validated against.
 Every expectation is evaluated by Gaussian quadrature on rules from
-``aesf.models``; nothing here is stochastic, and unsupported
+``aesf.models``, or through the bivariate normal CDF where an inner
+integral has a closed form; nothing here is stochastic, and unsupported
 (functional, model) pairs raise instead of silently approximating.
+
+``aesf_many`` evaluates the AESF at many points at once and ``aesf`` is its
+one-point case. Terms that depend on one coordinate of the point only are
+computed once per distinct value of that coordinate.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .models import (
     Model,
     UniformMax,
     UnivariateNormal,
+    Y_PRIME_HALF_WIDTH,
     conditional_survival,
     expect_y_prime,
     marginal_cdf_x,
@@ -35,7 +41,19 @@ from .models import (
 )
 from .numerics import bvn_cdf, hermite_rule, normal_cdf, phi
 
-__all__ = ["AesfRequest", "esf_exact", "aesf", "population_value", "is_supported"]
+__all__ = ["AesfRequest", "esf_exact", "aesf", "aesf_many", "population_value",
+           "is_supported"]
+
+#: Most evaluation points that ``aesf_many`` evaluates at once, which bounds
+#: its working memory whatever the number of points.
+_CHUNK_POINTS = 1024
+
+#: |z| beyond which Phi(z) and the bivariate normal CDF at z are saturated in
+#: double precision (Phi(-40) underflows to 0). Arguments are clipped to it,
+#: so that a far-out evaluation point cannot overflow to infinity.
+_SATURATION = 40.0
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -81,15 +99,35 @@ def _scalar_point(point) -> float:
     return x
 
 
-def _pair_point(point) -> tuple[float, float]:
+def _as_points(f: FunctionalId, points) -> np.ndarray:
+    """``points`` as floats of shape (P, 2) for a rank correlation or (P,)
+    for a scalar functional, every coordinate finite."""
     try:
-        x, y = point
-    except TypeError:
-        raise DomainError("rank correlations take an (x, y) evaluation point") from None
-    x, y = float(x), float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"evaluation point must be finite, got {(x, y)}")
-    return x, y
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("evaluation points must be numbers") from None
+    tail = (2,) if f.is_bivariate else ()
+    if points.shape == (0,):
+        points = points.reshape((0,) + tail)
+    if points.ndim != 1 + len(tail) or points.shape[1:] != tail:
+        raise DomainError(
+            f"{f.tag} takes (x, y) evaluation points, an array of shape (P, 2)"
+            if f.is_bivariate else
+            f"{f.tag} takes scalar evaluation points, an array of shape (P,)")
+    finite = np.isfinite(points).all(axis=tuple(range(1, points.ndim)))
+    if not finite.all():
+        raise DomainError(f"evaluation point must be finite, got {points[~finite][0].tolist()}")
+    return points
+
+
+def _per_distinct(values: np.ndarray, fn) -> np.ndarray:
+    """``fn`` evaluated once per distinct entry of ``values``, at every entry."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return fn(distinct)[index]
+
+
+def _saturate(z: np.ndarray) -> np.ndarray:
+    return np.clip(z, -_SATURATION, _SATURATION)
 
 
 def _mean_var(model: Model) -> tuple[float, float]:
@@ -149,7 +187,8 @@ def esf_exact(f, model: Model, point, n: int) -> float:
 # Kendall
 # ---------------------------------------------------------------------------
 
-def _aesf_kendall_gaussian(rho: float, x: float, y: float, order: int) -> float:
+def _aesf_kendall_gaussian(rho: float, x: np.ndarray, y: np.ndarray,
+                           order: int) -> np.ndarray:
     # 4 P[(X-x)(Y-y) > 0] - 2 - 2 tau with the quadrant probability written
     # through the bivariate normal CDF. The limit of the expected sensitivity
     # carries twice the population correlation: the estimator is a U-statistic
@@ -161,13 +200,15 @@ def _aesf_kendall_gaussian(rho: float, x: float, y: float, order: int) -> float:
             + 2.0 - (4.0 / math.pi) * math.asin(rho))
 
 
-def _quadrant_probability(model: AdditiveNoise, x: float, y: float, order: int) -> float:
-    """P[(X - x)(Y - y) > 0] = P(X > x, Y > y) + P(X < x, Y < y)."""
-    nodes, weights = x_expectation_rule(model, levels=[y], cuts=[x], order=order)
-    surv = conditional_survival(model, y, nodes)
-    above = nodes > x
-    return float(weights[above] @ surv[above]
-                 + weights[~above] @ (1.0 - surv[~above]))
+def _quadrant_probabilities(model: AdditiveNoise, xs: np.ndarray, ys: np.ndarray,
+                            order: int) -> np.ndarray:
+    """P[(X - x)(Y - y) > 0] = P(X > x, Y > y) + P(X < x, Y < y) at each (x, y),
+    on x rules resolving y and split at x."""
+    def kernel(nodes, i):
+        surv = conditional_survival(model, ys[i], nodes)
+        return np.where(nodes > xs[i], surv, 1.0 - surv)
+
+    return x_expectations(model, kernel, ys, cuts=xs, order=order)
 
 
 @lru_cache(maxsize=128)
@@ -195,21 +236,27 @@ def _tau_additive(model: AdditiveNoise, order: int) -> float:
 # Spearman
 # ---------------------------------------------------------------------------
 
-def _aesf_spearman_gaussian(rho: float, x: float, y: float, order: int) -> float:
+def _aesf_spearman_gaussian(rho: float, x: np.ndarray, y: np.ndarray,
+                            order: int) -> np.ndarray:
     t, w = hermite_rule(order)
     scale = math.sqrt(1.0 - rho * rho)
-    cross_y = float(w @ (phi(t) * phi((rho * t - y) / scale)))
-    cross_x = float(w @ (phi(t) * phi((rho * t - x) / scale)))
+
+    def cross(levels):
+        # E[Phi(T) Phi((rho T - c) / scale)] for T ~ N(0, 1), one row per level c;
+        # row sums, so that a level's value does not depend on the others.
+        return (phi(t) * phi((rho * t - levels[:, None]) / scale) * w).sum(axis=-1)
+
+    cross_y, cross_x = _per_distinct(y, cross), _per_distinct(x, cross)
     return (12.0 * normal_cdf(x) * normal_cdf(y)
             + 12.0 * (cross_y + cross_x)
             - (18.0 / math.pi) * math.asin(0.5 * rho) - 9.0)
 
 
-def _aesf_spearman_independent(model: IndependentProduct, x: float, y: float,
-                               order: int) -> float:
+def _aesf_spearman_independent(model: IndependentProduct, x: np.ndarray, y: np.ndarray,
+                               order: int) -> np.ndarray:
     # E[F_X(X) 1(Y >= y)] factorizes as E[F_X(X)] P(Y >= y) under independence;
     # the two mean ranks are evaluated by quadrature rather than assumed 1/2.
-    fx, fy = float(marginal_cdf_x(model, x)), float(model.y_law.cdf(y))
+    fx, fy = marginal_cdf_x(model, x), model.y_law.cdf(y)
     xn, xw = plain_law_rule(model.x_law, order)
     yn, yw = plain_law_rule(model.y_law, order)
     mean_fx = float(xw @ model.x_law.cdf(xn))
@@ -243,18 +290,69 @@ def _chatterjee_shared_term(model: Model, order: int) -> float:
     return expect_y_prime(model, lambda ts: _w_moments(model, ts, order)[1], order=order)
 
 
+def _survival_square_means(model: AdditiveNoise, xs: np.ndarray, order: int) -> np.ndarray:
+    """E_{Y'}[P(Y > Y' | X = x)^2] at each x, for Y' = g(X') + sigma Z'.
+
+    Given X', the mean over Z' is E[Phi(A - Z')^2] = Phi_2(a, a; 1/2) with
+    a = A / sqrt 2 and A = (g(x) - g(X')) / sigma (notes/decisions.md), so
+    only the outer X' rule is quadrature.
+    """
+    gx = model.link(xs)
+    scale = _SQRT2 * model.noise_sigma
+
+    def kernel(nodes, i):
+        a = _saturate((gx[i] - model.link(nodes)) / scale)
+        return bvn_cdf(a, a, 0.5, order)
+
+    return x_expectations(model, kernel, gx, order=order, half_width=Y_PRIME_HALF_WIDTH)
+
+
+def _truncated_survival_means(model: AdditiveNoise, xs: np.ndarray, ys: np.ndarray,
+                              order: int) -> np.ndarray:
+    """E_{Y'}[P(Y > Y' | X = x) 1(Y' < y)] at each (x, y), for Y' = g(X') + sigma Z'.
+
+    Given X', the integral of Phi(A - z) phi(z) over z < zeta = (y - g(X')) /
+    sigma is Phi_2(zeta, a; 1/sqrt 2), with A and a as in
+    ``_survival_square_means``.
+    """
+    gx = model.link(xs)
+    sigma = model.noise_sigma
+
+    def kernel(nodes, i):
+        g = model.link(nodes)
+        zeta = _saturate((ys[i] - g) / sigma)
+        a = _saturate((gx[i] - g) / (_SQRT2 * sigma))
+        return bvn_cdf(zeta, a, math.sqrt(0.5), order)
+
+    return x_expectations(model, kernel, np.column_stack((gx, ys)), order=order,
+                          half_width=Y_PRIME_HALF_WIDTH)
+
+
 def _sharp_levels_at(model: Model, x: float) -> tuple[float, ...]:
     return () if model.link is None else (float(model.link(x)),)
 
 
-def _aesf_chatterjee(model: Model, x: float, y: float, order: int) -> float:
+def _law_survival_means(model: Model, x: float, y: float, order: int) -> tuple[float, float]:
+    """(t3, t4) of ``_aesf_chatterjee`` at one point, by quadrature over a
+    closed-form y marginal."""
     surv_at_x = lambda ts: conditional_survival(model, ts, x)
+    sharp = _sharp_levels_at(model, x)
+    t3 = expect_y_prime(model, lambda ts: surv_at_x(ts) ** 2, sharp_levels=sharp, order=order)
+    t4 = expect_y_prime(model, surv_at_x, upper=y, sharp_levels=sharp, order=order)
+    return t3, t4
+
+
+def _aesf_chatterjee(model: Model, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     t1 = _chatterjee_shared_term(model, order)
-    t2 = float(_w_moments(model, y, order)[1])
-    t3 = expect_y_prime(model, lambda ts: surv_at_x(ts) ** 2,
-                        sharp_levels=_sharp_levels_at(model, x), order=order)
-    t4 = expect_y_prime(model, surv_at_x, upper=y,
-                        sharp_levels=_sharp_levels_at(model, x), order=order)
+    t2 = _per_distinct(y, lambda ys: _w_moments(model, ys, order)[1])
+    if model.y_law is None:
+        # Additive noise without a closed-form y marginal: the inner Z'
+        # integrals are bivariate normal CDFs.
+        t3 = _per_distinct(x, lambda xs: _survival_square_means(model, xs, order))
+        t4 = _truncated_survival_means(model, x, y, order)
+    else:
+        t3, t4 = np.transpose([_law_survival_means(model, a, b, order)
+                               for a, b in zip(x.tolist(), y.tolist())])
     return -12.0 * t1 + 6.0 * t2 - 6.0 * t3 + 12.0 * t4
 
 
@@ -262,34 +360,46 @@ def _aesf_chatterjee(model: Model, x: float, y: float, order: int) -> float:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def aesf(request: AesfRequest, order: int = 64) -> float:
-    """Asymptotic expected sensitivity at the request's evaluation point."""
-    f, model = request.functional, request.model
-    _require_supported(f, model)
+def aesf_many(f, model: Model, points, order: int = 64) -> np.ndarray:
+    """Asymptotic expected sensitivity at each of many evaluation points.
 
+    ``points`` has shape (P, 2) for the rank correlations and (P,) for the
+    scalar functionals; the result has shape (P,). Points go through in
+    chunks of at most ``_CHUNK_POINTS``, and each value is computed on its
+    own, so it does not depend on the other points or on the chunking.
+    """
+    f = as_functional(f)
+    _require_supported(f, model)
+    points = _as_points(f, points)
+    values = np.empty(len(points))
+    for start in range(0, len(points), _CHUNK_POINTS):
+        part = slice(start, start + _CHUNK_POINTS)
+        values[part] = _aesf_chunk(f, model, points[part], order)
+    return values
+
+
+def _aesf_chunk(f: FunctionalId, model: Model, points: np.ndarray, order: int):
     if f.tag in ("mean", "variance"):
-        x = _scalar_point(request.point)
         mu, var = _mean_var(model)
-        return x - mu if f.tag == "mean" else (x - mu) ** 2 - var
+        return points - mu if f.tag == "mean" else (points - mu) ** 2 - var
 
     if f.tag == "uniform_max":
-        x = _scalar_point(request.point)
         theta = model.theta
-        if not 0.0 <= x <= theta:
-            raise DomainError(f"x must lie in [0, {theta}], got {x}")
-        return theta if x == theta else 0.0
+        outside = (points < 0.0) | (points > theta)
+        if outside.any():
+            raise DomainError(f"x must lie in [0, {theta}], got {points[outside][0]}")
+        return np.where(points == theta, theta, 0.0)
 
     if f.tag == "phi_linear":
-        x = _scalar_point(request.point)
         eg = _g_moment(f, model)
-        return (_g_at(f, x) - eg) * phi_derivative(f.phi, eg)
+        return (_g_at(f, points) - eg) * phi_derivative(f.phi, eg)
 
-    x, y = _pair_point(request.point)
+    x, y = points[:, 0], points[:, 1]
 
     if f.tag == "kendall":
         if isinstance(model, BivariateGaussian):
             return _aesf_kendall_gaussian(model.rho, x, y, order)
-        p = _quadrant_probability(model, x, y, order)
+        p = _quadrant_probabilities(model, x, y, order)
         return 4.0 * p - 2.0 - 2.0 * _tau_additive(model, order)
 
     if f.tag == "spearman":
@@ -298,6 +408,12 @@ def aesf(request: AesfRequest, order: int = 64) -> float:
         return _aesf_spearman_independent(model, x, y, order)
 
     return _aesf_chatterjee(model, x, y, order)
+
+
+def aesf(request: AesfRequest, order: int = 64) -> float:
+    """Asymptotic expected sensitivity at the request's evaluation point; the
+    one-point case of ``aesf_many``."""
+    return float(aesf_many(request.functional, request.model, [request.point], order)[0])
 
 
 @lru_cache(maxsize=128)

@@ -67,6 +67,10 @@ _TWO_PI = 2.0 * math.pi
 #: double precision beyond ~8.3 scales; 13 leaves comfortable margin.
 FEATURE_HALF_WIDTH = 13.0
 
+#: Half-width of the outer X' rules of expectations over Y' = g(X') +
+#: noise_sigma Z': a kernel's transition region plus the normal tail of Z'.
+Y_PRIME_HALF_WIDTH = FEATURE_HALF_WIDTH + NORMAL_TAIL + 1.0
+
 
 # ---------------------------------------------------------------------------
 # Marginal laws
@@ -695,12 +699,13 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
     """E_X[kernel] for each level, each on its own level-refined x rule.
 
     ``kernel(x, i)`` receives nodes of several rules and, per node, the index
-    into ``levels`` (shape (T,)) of the rule it belongs to; it returns one
-    value per node, or a stack of such rows. The last axis of the result
-    indexes the levels. ``cuts`` (None or shape (T,)) splits rule i at
-    ``cuts[i]`` as in ``x_expectation_rules``. Rules are built in batches
-    of at most ``_CHUNK_PANELS`` panels (one rule per batch if a rule needs
-    more); a level's sum does not depend on the batch it falls in.
+    into ``levels`` (shape (T,), or (T, L) for L levels per rule) of the
+    rule it belongs to; it returns one value per node, or a stack of such
+    rows. The last axis of the result indexes the rules. ``cuts`` (None or
+    shape (T,)) splits rule i at ``cuts[i]`` as in ``x_expectation_rules``.
+    Rules are built in batches of at most ``_CHUNK_PANELS`` panels (one rule
+    per batch if a rule needs more); a rule's sum does not depend on the
+    batch it falls in.
     """
     _require_bivariate(model, "x_expectations")
     levels = np.asarray(levels, dtype=float)
@@ -708,7 +713,7 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
     lo, hi = law.support()
     # Capping adds at most one panel per breakpoint interval beyond the
     # ceil(support width / cap) panels of an unsplit rule.
-    probe = _rule_breakpoints(model, levels[:1, None], None if cuts is None else cuts[:1],
+    probe = _rule_breakpoints(model, _as_rows(levels[:1]), None if cuts is None else cuts[:1],
                               half_width)
     panels = probe.shape[1] + 1 + math.ceil((hi - lo) / law.max_panel())
     batch = max(1, _CHUNK_PANELS // panels)
@@ -782,9 +787,14 @@ def expect_y_prime(model: Model, h: Callable[[np.ndarray], np.ndarray], *,
 
     Models with a closed-form y marginal integrate over it directly (a
     single Hermite rule for a normal marginal); additive-noise models use a
-    double rule over (X', Z').
+    double rule over (X', Z'). ``upper=inf`` truncates nothing; a NaN
+    ``upper`` or sharp level raises ``DomainError``.
     """
     _require_bivariate(model, "expect_y_prime")
+    if upper is not None and math.isnan(upper):
+        raise DomainError("expect_y_prime is undefined below a NaN upper bound")
+    if np.isnan(np.asarray(sharp_levels, dtype=float)).any():
+        raise DomainError("expect_y_prime cannot refine around a NaN level")
 
     if model.y_law is not None:
         return _law_expect(model.y_law, h, upper, sharp_levels, order)
@@ -793,8 +803,7 @@ def expect_y_prime(model: Model, h: Callable[[np.ndarray], np.ndarray], *,
     sigma = model.noise_sigma
     levels = list(sharp_levels) + ([upper] if upper is not None else [])
     outer_nodes, outer_weights = x_expectation_rule(
-        model, levels=levels, order=order,
-        half_width=FEATURE_HALF_WIDTH + NORMAL_TAIL + 1.0)
+        model, levels=levels, order=order, half_width=Y_PRIME_HALF_WIDTH)
     g = model.link(outer_nodes)
 
     if upper is None:

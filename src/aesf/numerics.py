@@ -23,7 +23,6 @@ __all__ = [
     "clamp_probability",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 #: Truncation point for integrals against the standard normal density.
@@ -79,16 +78,17 @@ def clamp_probability(p, tol: float = CLAMP_TOL):
     return p
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF at a finite scalar ``z``.
+def normal_cdf(z):
+    """Standard normal CDF at finite ``z``, elementwise on arrays.
 
-    Uses the complementary error function from the C math library, giving
-    absolute error well below 1e-12 everywhere.
+    Uses ``scipy.special.ndtr``, whose absolute error is well below 1e-12
+    everywhere; a scalar argument gives a float.
     """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"normal_cdf requires a finite argument, got {z!r}")
-    return 0.5 * math.erfc(-z / _SQRT2)
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise DomainError("normal_cdf requires finite arguments")
+    p = ndtr(z)
+    return float(p) if p.ndim == 0 else p
 
 
 def normal_pdf(z):
@@ -102,10 +102,17 @@ def phi(z):
     return ndtr(z)
 
 
-def bvn_cdf(x: float, y: float, rho: float, order: int = 64) -> float:
+#: Most ``bvn_cdf`` arguments whose integrands are evaluated at once, which
+#: bounds memory (about 1 MB per temporary at order 64) whatever their number.
+_CHUNK_ARGS = 2048
+
+
+def bvn_cdf(x, y, rho: float, order: int = 64):
     """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
 
-    Evaluated through the single-integral identity
+    Elementwise over ``x`` and ``y``, which broadcast against each other; a
+    scalar pair gives a float, and is the one-element case of an array
+    call. Evaluated through the single-integral identity
 
         Phi_rho(x, y) = Phi(x) Phi(y)
             + (1/2pi) * int_0^{arcsin rho} exp(-(x^2 - 2xy sin t + y^2)
@@ -116,27 +123,36 @@ def bvn_cdf(x: float, y: float, rho: float, order: int = 64) -> float:
     approaches 1. Measured against 512 nodes on a [-4, 4]^2 grid with step
     0.1, 64 nodes agree within 6e-16 for |rho| in {0.1, 0.3, 0.5, 0.7, 0.9,
     0.95, 0.99, 0.999}; at |rho| = 0.9999 the gap reaches 3.9e-11, at
-    (x, y) = (0, 0.1).
+    (x, y) = (0, 0.1). Each element's quadrature sum is formed on its own,
+    so a value does not depend on the other elements of the call.
     """
-    x, y, rho = float(x), float(y), float(rho)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(rho)):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    rho = float(rho)
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(rho)):
         raise DomainError("bvn_cdf requires finite arguments")
     if abs(rho) > 1.0:
         raise DomainError(f"correlation must satisfy |rho| <= 1, got {rho}")
     if rho == 1.0:
-        return normal_cdf(min(x, y))
-    if rho == -1.0:
-        return max(normal_cdf(x) + normal_cdf(y) - 1.0, 0.0)
-
-    base = normal_cdf(x) * normal_cdf(y)
-    if rho == 0.0:
-        return base
-
-    s = math.asin(rho)
-    t0, w0 = _leggauss(order)
-    t = 0.5 * s * (t0 + 1.0)  # signed segment [0, s]; weights carry the sign
-    w = 0.5 * s * w0
-    sin_t = np.sin(t)
-    cos2_t = np.cos(t) ** 2
-    integrand = np.exp(-((x * x + y * y) - 2.0 * x * y * sin_t) / (2.0 * cos2_t))
-    return clamp_probability(base + float(w @ integrand) / (2.0 * math.pi))
+        p = ndtr(np.minimum(x, y))
+    elif rho == -1.0:
+        p = np.maximum(ndtr(x) + ndtr(y) - 1.0, 0.0)
+    else:
+        p = ndtr(x) * ndtr(y)
+        if rho != 0.0:
+            s = math.asin(rho)
+            t0, w0 = _leggauss(order)
+            t = 0.5 * s * (t0 + 1.0)  # signed segment [0, s]; weights carry the sign
+            w = 0.5 * s * w0
+            sin_t = np.sin(t)
+            two_cos2_t = 2.0 * np.cos(t) ** 2
+            xs, ys = x.ravel(), y.ravel()
+            integral = np.empty(xs.size)
+            for start in range(0, xs.size, _CHUNK_ARGS):
+                part = slice(start, start + _CHUNK_ARGS)
+                a, b = xs[part, None], ys[part, None]
+                integrand = np.exp(-((a * a + b * b) - 2.0 * a * b * sin_t) / two_cos2_t)
+                # A row sum, not a matrix product, so that each element's sum
+                # is the same whatever the number of rows.
+                integral[part] = (integrand * w).sum(axis=-1)
+            p = clamp_probability(p + integral.reshape(p.shape) / (2.0 * math.pi))
+    return float(p) if np.ndim(p) == 0 else p

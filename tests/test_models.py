@@ -1,10 +1,13 @@
 """Sampling determinism, conditional structure, and marginal consistency."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aesf import (
     AdditiveNoise,
@@ -381,3 +384,58 @@ class TestJson:
     def test_bad_json_rejected(self, bad):
         with pytest.raises(ParseError):
             model_from_json(bad)
+
+
+class TestExpectYPrimeNan:
+    # A NaN bound or sharp level used to give a plausible number: 0.0 under
+    # scenarios A and C, 0.9999999999999991 under the Gaussian and 1.0 under
+    # the independent product for a total-mass integrand.
+    MODELS = [scenario("A"), scenario("C"), BivariateGaussian(0.7),
+              IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0))]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_nan_upper_rejected(self, model):
+        with pytest.raises(DomainError):
+            expect_y_prime(model, lambda t: np.ones_like(t), upper=math.nan)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_nan_sharp_level_rejected(self, model):
+        with pytest.raises(DomainError):
+            expect_y_prime(model, lambda t: np.ones_like(t), sharp_levels=(0.5, math.nan))
+        with pytest.raises(DomainError):
+            expect_y_prime(model, lambda t: np.ones_like(t), upper=0.3,
+                           sharp_levels=(math.nan,))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_infinite_upper_truncates_nothing(self, model):
+        h = lambda t: conditional_survival(model, t, 0.4)
+        assert expect_y_prime(model, h, upper=math.inf) == pytest.approx(
+            expect_y_prime(model, h), abs=1e-12)
+        assert expect_y_prime(model, h, upper=-math.inf) == 0.0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+_positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+_laws = st.one_of(
+    st.just(NormalLaw()),
+    # |a| <= 1e6 and a width >= 1e-6, so a + width > a after rounding.
+    st.tuples(_finite, _positive).map(lambda ab: UniformLaw(ab[0], ab[0] + ab[1])))
+_links = st.one_of(st.just(Link("square")), st.just(Link("cos2pi")),
+                   _finite.map(lambda c: Link("linear", c)))
+_models = st.one_of(
+    st.floats(min_value=-0.999999, max_value=0.999999).map(BivariateGaussian),
+    st.builds(AdditiveNoise, _laws, _links, _positive),
+    _positive.map(UniformMax),
+    st.builds(UnivariateNormal, _finite, _positive),
+    st.builds(IndependentProduct, _laws, _laws),
+)
+
+
+class TestJsonProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_models)
+    def test_round_trip_of_every_model_class(self, model):
+        obj = model_to_json(model)
+        assert model_from_json(obj) == model
+        # and through the text form the CLI reads
+        assert model_from_json(json.loads(json.dumps(obj))) == model

@@ -189,3 +189,71 @@ class TestClamp:
             clamp_probability(np.array([0.2, math.nan]))
         with pytest.raises(NumericsError):
             clamp_probability(np.array([math.nan, 1.0 + 1e-12]))
+
+
+class TestBvnCdfArrays:
+    """An array call equals the scalar call, element by element and bit for
+    bit, on every case of ``TestBvnCdf``."""
+
+    @staticmethod
+    def _cases():
+        cases = [(x, y, 0.0) for x, y in [(-1.3, 0.4), (0.0, 2.0), (2.2, -0.7)]]
+        cases += [(0.0, 0.0, rho) for rho in (-0.95, -0.5, 0.0, 0.3, 0.7, 0.95)]
+        cases += [(x, y, 1.0) for x, y in [(0.3, 1.5), (-1.0, -2.0), (0.0, 0.0)]]
+        cases += [(1.0, -0.5, -1.0), (-2.0, -2.0, -1.0)]
+        cases += list(BVN_ORACLE)
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            x, y = rng.uniform(-2.5, 2.5, 2)
+            cases.append((x, y, rng.uniform(-0.98, 0.98)))
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x, y = rng.uniform(-3, 3, 2)
+            rho = rng.uniform(-0.99, 0.99)
+            cases += [(x, y, rho), (y, x, rho)]
+        grid = np.linspace(-2.5, 2.5, 9)
+        cases += [(x, y, rho) for rho in np.linspace(-0.9, 0.9, 7) for x in grid for y in grid]
+        return cases
+
+    def test_array_call_equals_scalar_calls(self):
+        by_rho = {}
+        for x, y, rho in self._cases():
+            by_rho.setdefault(float(rho), []).append((float(x), float(y)))
+        for rho, points in by_rho.items():
+            xs, ys = np.array(points).T
+            values = bvn_cdf(xs, ys, rho)
+            assert isinstance(values, np.ndarray) and values.shape == xs.shape
+            for i, (x, y) in enumerate(points):
+                scalar = bvn_cdf(x, y, rho)
+                assert type(scalar) is float
+                assert values[i] == scalar, (x, y, rho)
+
+    def test_exact_limits_elementwise(self):
+        xs, ys = np.array([0.3, -1.0, 0.0]), np.array([1.5, -2.0, 0.0])
+        assert np.array_equal(bvn_cdf(xs, ys, 1.0), normal_cdf(np.minimum(xs, ys)))
+        assert bvn_cdf(np.array([-2.0, 1.0]), np.array([-2.0, -0.5]), -1.0)[0] == 0.0
+
+    def test_broadcasts_and_keeps_shape(self):
+        xs = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        values = bvn_cdf(xs, 0.25, 0.4)
+        assert values.shape == (2, 3)
+        assert values[1, 2] == bvn_cdf(xs[1, 2], 0.25, 0.4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_any_non_finite_element(self, bad):
+        finite = np.array([0.1, -0.4, 1.2])
+        broken = finite.copy()
+        broken[1] = bad
+        for rho in (0.5, 0.0, 1.0, -1.0):
+            with pytest.raises(DomainError):
+                bvn_cdf(broken, finite, rho)
+            with pytest.raises(DomainError):
+                bvn_cdf(finite, broken, rho)
+        with pytest.raises(DomainError):
+            bvn_cdf(finite, finite, float("nan"))
+
+    def test_normal_cdf_on_arrays(self):
+        zs = np.array(list(NORMAL_CDF_ORACLE))
+        assert normal_cdf(zs).tolist() == [normal_cdf(z) for z in zs.tolist()]
+        with pytest.raises(DomainError):
+            normal_cdf(np.array([0.0, float("nan")]))
