@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedError
-from .estimators import FunctionalId, as_functional, phi_derivative
+from .estimators import FunctionalId, _g_values, as_functional, phi_derivative
 from .models import (
     AdditiveNoise,
     BivariateGaussian,
@@ -131,22 +130,9 @@ def _saturate(z: np.ndarray) -> np.ndarray:
 
 
 def _mean_var(model: Model) -> tuple[float, float]:
-    if isinstance(model, UnivariateNormal):
-        return model.mu, model.sigma ** 2
-    if isinstance(model, UniformMax):
-        return 0.5 * model.theta, model.theta ** 2 / 12.0
-    raise UnsupportedError(f"{type(model).__name__} has no stored mean/variance")
-
-
-def _g_moment(f: FunctionalId, model: UnivariateNormal) -> float:
-    """E[g(X)] for the phi-linear inner map under N(mu, sigma^2)."""
-    if f.g == "identity":
-        return model.mu
-    return model.mu ** 2 + model.sigma ** 2
-
-
-def _g_at(f: FunctionalId, x: float) -> float:
-    return x if f.g == "identity" else x * x
+    """Mean and variance of a univariate model, loc + scale * V for V from its law."""
+    mean, sd = model.law.moments()
+    return model.loc + model.scale * mean, (model.scale * sd) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +153,7 @@ def esf_exact(f, model: Model, point, n: int) -> float:
     if n < 1:
         raise DomainError("sample size must be >= 1")
     x = _scalar_point(point)
+    _require_supported(f, model)
     if f.tag == "mean":
         mu, _ = _mean_var(model)
         return x - mu
@@ -176,8 +163,6 @@ def esf_exact(f, model: Model, point, n: int) -> float:
         return a * x * x - 2.0 * a * x * mu + a * mu * mu \
             - (n * n - n - 1.0) / (n * (n + 1.0)) * var
     # uniform_max
-    if not isinstance(model, UniformMax):
-        raise UnsupportedError("uniform_max ESF needs a UniformMax model")
     if not 0.0 <= x <= model.theta:
         raise DomainError(f"x must lie in [0, {model.theta}], got {x}")
     return x * (x / model.theta) ** n
@@ -391,8 +376,9 @@ def _aesf_chunk(f: FunctionalId, model: Model, points: np.ndarray, order: int):
         return np.where(points == theta, theta, 0.0)
 
     if f.tag == "phi_linear":
-        eg = _g_moment(f, model)
-        return (_g_at(f, points) - eg) * phi_derivative(f.phi, eg)
+        mu, var = _mean_var(model)
+        eg = mu if f.g == "identity" else mu ** 2 + var  # E[g(X)]
+        return (_g_values(f.g, points) - eg) * phi_derivative(f.phi, eg)
 
     x, y = points[:, 0], points[:, 1]
 

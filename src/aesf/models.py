@@ -8,16 +8,18 @@ expectations over the marginals.
 Bivariate models answer one protocol of four attributes: ``x_law``;
 ``y_law``, the y marginal when it has a closed form, else None; ``link``,
 the regression function g of Y = g(X) + noise_sigma * Z, or None when Y
-does not depend on X; and ``noise_sigma``. Functions below read these
-attributes instead of switching on the model class.
+does not depend on X; and ``noise_sigma``. Univariate models answer a
+``law`` and an affine ``loc`` and ``scale`` (the variable is loc + scale V,
+V from the law). Functions below read these attributes, not the class.
 
 Randomness contract: ``sample(model, n, seed)`` is a pure function of its
-arguments. Each seed keys a Philox counter-based generator whose raw 64-bit
-words, shifted right by 11, give 53-bit integers k; each law maps them to
-values in one place (``from_bits``): uniforms are a + (b - a) k 2^-53 and
-normals the inverse CDF at (k + 1/2) 2^-53, so replicate streams never
-couple sequentially. ``sample_batches`` computes the same draws for many
-replicate seeds at once.
+arguments. The seed keys a Philox4x64-10 generator whose raw 64-bit words,
+shifted right by 11, give 53-bit integers k, n for x and then n for y or the
+noise; each law maps them to values in one place (``from_bits``): uniforms
+are a + (b - a) k 2^-53, normals the inverse CDF at (k + 1/2) 2^-53. Streams
+are keyed, never chained. ``sample`` is the one-key case of the draw
+(``_draw``) that ``sample_batches`` makes for many replicate seeds at once,
+from numpy's compiled Philox or, for short streams, the kernel ``_philox_raw``.
 """
 
 from __future__ import annotations
@@ -245,9 +247,11 @@ class AdditiveNoise:
 
 @dataclass(frozen=True)
 class UniformMax:
-    """Univariate U[0, theta]."""
+    """Univariate U[0, theta]: theta times a standard uniform."""
 
     theta: float
+    law, loc = UniformLaw(0.0, 1.0), 0.0
+    scale = property(lambda self: self.theta)
 
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta <= 0.0:
@@ -256,8 +260,12 @@ class UniformMax:
 
 @dataclass(frozen=True)
 class UnivariateNormal:
+    """Univariate N(mu, sigma^2): mu plus sigma times a standard normal."""
+
     mu: float
     sigma: float
+    law = NormalLaw()
+    loc, scale = property(lambda self: self.mu), property(lambda self: self.sigma)
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)) or self.sigma <= 0.0:
@@ -292,7 +300,7 @@ def scenario(name: str) -> AdditiveNoise:
 
 
 def is_bivariate(model: Model) -> bool:
-    return isinstance(model, (BivariateGaussian, AdditiveNoise, IndependentProduct))
+    return hasattr(model, "x_law")
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +390,11 @@ def derive_seed(seed: int, replicate: int, attempt: int = 0) -> int:
 
     Hashing (seed, replicate, attempt) through SeedSequence keeps replicate
     streams uncoupled, so a Monte Carlo run can draw its replicates in any
-    order or in batches and still aggregate deterministically.
+    order or in batches and still aggregate deterministically. The replicate
+    and the attempt must lie in [0, 2^32), as in ``derive_seeds``.
     """
+    if not (0 <= int(replicate) <= _MASK32 and 0 <= int(attempt) <= _MASK32):
+        raise DomainError("replicate and attempt must lie in [0, 2^32)")
     ss = np.random.SeedSequence(entropy=[int(seed) & _MASK64, int(replicate), int(attempt)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -477,23 +488,51 @@ def _philox_raw(keys, count: int) -> np.ndarray:
     return words.reshape(len(k0), 4 * blocks)[:, :count]
 
 
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+def _philox_loop(keys, count: int) -> np.ndarray:
+    """``_philox_raw(keys, count)`` from numpy's compiled Philox, set to key
+    (k, 0), counter 0 and an empty buffer per key: the state of Philox(key=k)
+    without the OS-entropy SeedSequence that constructor builds and drops."""
+    bitgen = np.random.Philox(0)
+    zeros = np.zeros(4, dtype=np.uint64)
+    words = np.empty((len(keys), count), dtype=np.uint64)
+    for row, k in zip(words, np.asarray(keys, dtype=np.uint64).tolist()):
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": zeros, "key": np.array([k, 0], dtype=np.uint64)},
+                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        row[:] = bitgen.random_raw(count)
+    return words
+
+
+#: Longest per-key stream that ``_raw_words`` draws with ``_philox_raw``, whose
+#: cost per key grows faster with the stream length than the compiled loop's.
+_KERNEL_MAX_WORDS = 64
+
+
+def _raw_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """The cheaper word route at this stream length (notes/decisions.md)."""
+    return (_philox_raw if count <= _KERNEL_MAX_WORDS else _philox_loop)(keys, count)
 
 
 def _from_bits(model: Model, bits: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Sample values from 53-bit integers ``bits`` of shape (streams, ..., n):
     stream 0 gives x (or the single variable), stream 1 y or the noise."""
-    if isinstance(model, UnivariateNormal):
-        return model.mu + model.sigma * NormalLaw().from_bits(bits[0]), None
-    if isinstance(model, UniformMax):
-        return UniformLaw(0.0, model.theta).from_bits(bits[0]), None
+    if hasattr(model, "law"):
+        return model.loc + model.scale * model.law.from_bits(bits[0]), None
     if not is_bivariate(model):
         raise DomainError(f"not a model: {model!r}")
     xs = model.x_law.from_bits(bits[0])
     if model.link is None:
         return xs, model.y_law.from_bits(bits[1])
     return xs, model.link(xs) + model.noise_sigma * NormalLaw().from_bits(bits[1])
+
+
+def _draw(model: Model, keys: np.ndarray, n: int, words):
+    """(xs, ys) of shape (len(keys), n), ys None for univariate models, from
+    ``words(keys, count)``: each key's first ``count`` raw Philox words."""
+    streams = 2 if is_bivariate(model) else 1
+    # Shifted right by 11, a raw word is Generator.integers(0, 2^53) on it.
+    bits = (words(keys, streams * n) >> np.uint64(11)).view(np.int64)
+    return _from_bits(model, bits.reshape(len(keys), streams, n).swapaxes(0, 1))
 
 
 def sample(model: Model, n: int, seed: int) -> Dataset:
@@ -504,36 +543,13 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    streams = 2 if is_bivariate(model) else 1
-    # Generator.integers(0, 2^53) is the raw word shifted right by 11.
-    bits = _rng_for(seed).integers(0, 1 << 53, size=(streams, n), dtype=np.int64)
-    return Dataset(*_from_bits(model, bits))
+    xs, ys = _draw(model, np.array([int(seed) & _MASK64], dtype=np.uint64), n, _philox_loop)
+    return Dataset(xs[0], None if ys is None else ys[0])
 
 
 #: Most raw Philox words that one batch of ``sample_batches`` draws, which
 #: bounds its working memory (about 1 MB) whatever n and the replicate count.
 _CHUNK_WORDS = 1 << 14
-
-#: Longest per-replicate stream that ``_philox_raw`` draws; longer streams
-#: come from numpy's compiled Philox, which costs less per word.
-_KERNEL_MAX_WORDS = 512
-
-
-def _raw_words(keys: np.ndarray, count: int) -> np.ndarray:
-    if count <= _KERNEL_MAX_WORDS:
-        return _philox_raw(keys, count)
-    # One Philox set to each key in turn: Philox(key=k) starts at key (k, 0),
-    # counter 0 and an empty buffer, and building one per key costs a
-    # throwaway OS-entropy SeedSequence besides.
-    bitgen = np.random.Philox(0)
-    zeros = np.zeros(4, dtype=np.uint64)
-    words = np.empty((len(keys), count), dtype=np.uint64)
-    for row, k in zip(words, keys.tolist()):
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zeros, "key": np.array([k, 0], dtype=np.uint64)},
-                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        row[:] = bitgen.random_raw(count)
-    return words
 
 
 def sample_batches(model: Model, n: int, seed: int, replicates: int):
@@ -546,18 +562,14 @@ def sample_batches(model: Model, n: int, seed: int, replicates: int):
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    streams = 2 if is_bivariate(model) else 1
-    rows = max(1, _CHUNK_WORDS // (streams * n))
+    rows = max(1, _CHUNK_WORDS // ((2 if is_bivariate(model) else 1) * n))
     # Seeds are derived for about _CHUNK_WORDS replicates at once (whole
     # batches), since a call costs the same for one replicate as for many.
     block = rows * -(-_CHUNK_WORDS // rows)
     for first in range(0, replicates, block):
         keys = derive_seeds(seed, np.arange(first, min(first + block, replicates)))
         for start in range(0, len(keys), rows):
-            batch = keys[start:start + rows]
-            bits = (_raw_words(batch, streams * n) >> np.uint64(11)).view(np.int64)
-            yield (first + start,
-                   *_from_bits(model, bits.reshape(len(batch), streams, n).swapaxes(0, 1)))
+            yield (first + start, *_draw(model, keys[start:start + rows], n, _raw_words))
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +592,14 @@ def conditional_survival(model: Model, y, x):
 
 def marginal_cdf_x(model: Model, t):
     """CDF of the x marginal (or of the single variable, for univariate models)."""
-    if is_bivariate(model):
-        return model.x_law.cdf(t)
-    if isinstance(model, UnivariateNormal):
-        return ndtr((np.asarray(t, dtype=float) - model.mu) / model.sigma)
-    if isinstance(model, UniformMax):
-        return np.clip(np.asarray(t, dtype=float) / model.theta, 0.0, 1.0)
-    raise DomainError(f"not a model: {model!r}")
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise DomainError("marginal_cdf_x is undefined at a NaN argument")
+    if hasattr(model, "law"):
+        return model.law.cdf((t - model.loc) / model.scale)
+    if not is_bivariate(model):
+        raise DomainError(f"not a model: {model!r}")
+    return model.x_law.cdf(t)
 
 
 # ---------------------------------------------------------------------------

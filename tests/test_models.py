@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from aesf import (
     AdditiveNoise,
@@ -114,6 +115,50 @@ class TestSampling:
             sample(object(), 3, 1)
 
 
+def _oracle_sample(model, n: int, seed: int):
+    """``sample`` by the documented draw scheme: 53-bit integers k from
+    numpy's Generator on the seed's Philox, x from the first n and y or the
+    noise from the next n; uniforms a + (b - a) k 2^-53, normals the inverse
+    CDF at (k + 1/2) 2^-53."""
+    streams = 1 if isinstance(model, (UnivariateNormal, UniformMax)) else 2
+    rng = np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
+    k = rng.integers(0, 2 ** 53, size=(streams, n))
+    normal = lambda k: ndtri((k + 0.5) * 2.0 ** -53)
+    uniform = lambda a, b, k: a + (b - a) * (k * 2.0 ** -53)
+    from_law = lambda law, k: normal(k) if law == NormalLaw() else uniform(law.a, law.b, k)
+    if isinstance(model, UnivariateNormal):
+        return model.mu + model.sigma * normal(k[0]), None
+    if isinstance(model, UniformMax):
+        return uniform(0.0, model.theta, k[0]), None
+    if isinstance(model, IndependentProduct):
+        return from_law(model.x_law, k[0]), from_law(model.y_law, k[1])
+    if isinstance(model, BivariateGaussian):
+        x = normal(k[0])
+        return x, model.rho * x + math.sqrt(1.0 - model.rho ** 2) * normal(k[1])
+    x = from_law(model.x_law, k[0])
+    g = {"linear": lambda t: model.link.c * t, "square": lambda t: t * t,
+         "cos2pi": lambda t: np.cos(2.0 * math.pi * t)}[model.link.name]
+    return x, g(x) + model.noise_sigma * normal(k[1])
+
+
+class TestSampleOracle:
+    """Scalar ``sample`` against the draw scheme written out with numpy's Generator."""
+
+    @pytest.mark.parametrize("model", [
+        UnivariateNormal(0.3, 2.5), UniformMax(1.7), BivariateGaussian(0.7), scenario("A"),
+        scenario("B"), scenario("C"), IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0)),
+    ])
+    @pytest.mark.parametrize("n", [1, 32, 33, 600])
+    @pytest.mark.parametrize("seed", [0, -1, 2 ** 64 - 1])
+    def test_sample_matches_oracle(self, model, n, seed):
+        ds = sample(model, n, seed)
+        xs, ys = _oracle_sample(model, n, seed)
+        assert ds.xs.tobytes() == xs.tobytes()
+        assert (ds.ys is None) == (ys is None)
+        if ys is not None:
+            assert ds.ys.tobytes() == ys.tobytes()
+
+
 class TestBatchedSampling:
     """The batched draws reproduce numpy's SeedSequence, Philox and ``sample``."""
 
@@ -130,13 +175,24 @@ class TestBatchedSampling:
             with pytest.raises(DomainError):
                 models.derive_seeds(3, [0, bad])
 
+    def test_derive_seed_rejects_indices_outside_32_bits(self):
+        for replicate, attempt in ((-1, 0), (2 ** 32, 0), (0, -1), (0, 2 ** 32)):
+            with pytest.raises(DomainError):
+                derive_seed(1, replicate, attempt)
+        top = 2 ** 32 - 1
+        expected = np.random.SeedSequence([1, top, top]).generate_state(1, np.uint64)[0]
+        assert derive_seed(1, top, top) == int(expected)
+        assert derive_seed(1, top) == int(models.derive_seeds(1, [top])[0])
+
     def test_philox_kernel_matches_random_raw(self):
+        # both word routes: the vectorised kernel and numpy's compiled loop
         keys = [0, 1, 2 ** 63, 2 ** 64 - 1] + [derive_seed(9, r) for r in range(60)]
-        for count in (1, 4, 103):
-            raw = models._philox_raw(keys, count)
-            assert raw.shape == (len(keys), count)
-            for key, row in zip(keys, raw):
-                assert row.tolist() == np.random.Philox(key=key).random_raw(count).tolist()
+        for words in (models._philox_raw, models._philox_loop):
+            for count in (1, 4, 64, 65, 103, 3200):
+                raw = words(keys, count)
+                assert raw.shape == (len(keys), count)
+                for key, row in zip(keys, raw):
+                    assert row.tolist() == np.random.Philox(key=key).random_raw(count).tolist()
 
     @pytest.mark.parametrize("model", [
         UnivariateNormal(0.3, 2.5), UniformMax(1.7), BivariateGaussian(0.7), scenario("A"),
@@ -263,6 +319,15 @@ class TestMarginals:
         assert marginal_cdf_x(scenario("B"), 0.0) == 0.5
         assert marginal_cdf_x(UniformMax(2.0), 1.0) == 0.5
         assert marginal_cdf_x(UnivariateNormal(1.0, 2.0), 1.0) == 0.5
+
+    @pytest.mark.parametrize("model", [
+        UnivariateNormal(1.0, 2.0), UniformMax(2.0), BivariateGaussian(0.4), scenario("C"),
+    ])
+    def test_marginal_cdf_x_rejects_nan(self, model):
+        with pytest.raises(DomainError):
+            marginal_cdf_x(model, math.nan)
+        with pytest.raises(DomainError):
+            marginal_cdf_x(model, np.array([0.0, math.nan]))
 
     def test_univariate_has_no_y_marginal(self):
         with pytest.raises(UnsupportedError):
