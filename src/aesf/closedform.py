@@ -203,17 +203,16 @@ def _tau_additive(model: AdditiveNoise, order: int) -> float:
     tau = 2 * E[ 1(X > X') (2 Phi((g(X) - g(X')) / (sqrt(2) sigma)) - 1) ],
     using that Y - Y' given (X, X') is N(g(X) - g(X'), 2 sigma^2).
     """
-    root2 = math.sqrt(2.0)
     outer_nodes, outer_weights = x_expectation_rule(model, order=order)
     g_outer = model.link(outer_nodes)
 
     def kernel(x, i):
         # Inner rule i is split at its outer node t and counts only x < t.
-        diff = 2.0 * phi((g_outer[i] - model.link(x)) / (root2 * model.noise_sigma)) - 1.0
+        diff = 2.0 * phi((g_outer[i] - model.link(x)) / (_SQRT2 * model.noise_sigma)) - 1.0
         return np.where(x < outer_nodes[i], diff, 0.0)
 
     inner = x_expectations(model, kernel, g_outer, cuts=outer_nodes, order=order,
-                           half_width=FEATURE_HALF_WIDTH * root2)
+                           half_width=FEATURE_HALF_WIDTH * _SQRT2)
     return 2.0 * float(outer_weights @ inner)
 
 
@@ -256,27 +255,26 @@ def _aesf_spearman_independent(model: IndependentProduct, x: np.ndarray, y: np.n
 # Chatterjee: four conditional-survival terms
 # ---------------------------------------------------------------------------
 
-def _w_moments(model: Model, ts, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E_X[P(Y > t | X)], E_X[P(Y > t | X)^2]) at each t, with t-refined x rules."""
+def _level_square_means(model: Model, ts, order: int) -> np.ndarray:
+    """E_X[P(Y > t | X)^2] at each t (the term t2), with t-refined x rules."""
     ts = np.asarray(ts, dtype=float)
     levels = ts.ravel()
-
-    def kernel(x, i):
-        s = conditional_survival(model, levels[i], x)
-        return np.stack((s, s * s))
-
-    w1, w2 = x_expectations(model, kernel, levels, order=order)
-    return w1.reshape(ts.shape), w2.reshape(ts.shape)
+    kernel = lambda x, i: np.square(conditional_survival(model, levels[i], x))
+    return x_expectations(model, kernel, levels, order=order).reshape(ts.shape)
 
 
 @lru_cache(maxsize=128)
 def _chatterjee_shared_term(model: Model, order: int) -> float:
-    """E_{Y'} E_X [ P(Y > Y' | X)^2 ]; independent of the evaluation point."""
-    return expect_y_prime(model, lambda ts: _w_moments(model, ts, order)[1], order=order)
+    """Point-free t1 = E_{Y'} E_X[P(Y > Y' | X)^2], as E_X[t3(X)] without a y law."""
+    if model.y_law is None:
+        nodes, weights = x_expectation_rule(model, order=order)
+        return float(weights @ _survival_square_means(model, nodes, order))
+    return expect_y_prime(model, lambda ts: _level_square_means(model, ts, order), order=order)
 
 
 def _survival_square_means(model: AdditiveNoise, xs: np.ndarray, order: int) -> np.ndarray:
-    """E_{Y'}[P(Y > Y' | X = x)^2] at each x, for Y' = g(X') + sigma Z'.
+    """E_{Y'}[P(Y > Y' | X = x)^2] at each x, for Y' = g(X') + sigma Z': the
+    term t3 of the Chatterjee AESF, and over an x rule the shared term t1.
 
     Given X', the mean over Z' is E[Phi(A - Z')^2] = Phi_2(a, a; 1/2) with
     a = A / sqrt 2 and A = (g(x) - g(X')) / sigma (notes/decisions.md), so
@@ -313,15 +311,11 @@ def _truncated_survival_means(model: AdditiveNoise, xs: np.ndarray, ys: np.ndarr
                           half_width=Y_PRIME_HALF_WIDTH)
 
 
-def _sharp_levels_at(model: Model, x: float) -> tuple[float, ...]:
-    return () if model.link is None else (float(model.link(x)),)
-
-
 def _law_survival_means(model: Model, x: float, y: float, order: int) -> tuple[float, float]:
     """(t3, t4) of ``_aesf_chatterjee`` at one point, by quadrature over a
     closed-form y marginal."""
     surv_at_x = lambda ts: conditional_survival(model, ts, x)
-    sharp = _sharp_levels_at(model, x)
+    sharp = () if model.link is None else (float(model.link(x)),)
     t3 = expect_y_prime(model, lambda ts: surv_at_x(ts) ** 2, sharp_levels=sharp, order=order)
     t4 = expect_y_prime(model, surv_at_x, upper=y, sharp_levels=sharp, order=order)
     return t3, t4
@@ -329,7 +323,7 @@ def _law_survival_means(model: Model, x: float, y: float, order: int) -> tuple[f
 
 def _aesf_chatterjee(model: Model, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     t1 = _chatterjee_shared_term(model, order)
-    t2 = _per_distinct(y, lambda ys: _w_moments(model, ys, order)[1])
+    t2 = _per_distinct(y, lambda ys: _level_square_means(model, ys, order))
     if model.y_law is None:
         # Additive noise without a closed-form y marginal: the inner Z'
         # integrals are bivariate normal CDFs.
@@ -406,18 +400,16 @@ def aesf(request: AesfRequest, order: int = 64) -> float:
 def _xi_dss(model: Model, order: int) -> float:
     """Rank-correlation limit as a ratio of variance integrals.
 
-    numerator:   E_{Y'}[ Var_X(P(Y > Y' | X)) ]
-    denominator: E_{Y'}[ F_Y(Y') (1 - F_Y(Y')) ]
+    numerator:   E_{Y'}[ Var_X(P(Y > Y' | X)) ] = t1 - 1/3, as E_X P(Y > Y' | X)
+                 = 1 - F_Y(Y') is uniform for continuous Y (notes/decisions.md)
+    denominator: E_{Y'}[ F_Y(Y') (1 - F_Y(Y')) ], by quadrature (exactly 1/6)
     """
-    def num(ts):
-        w1, w2 = _w_moments(model, ts, order)
-        return w2 - w1 * w1
-
     def den(ts):
         cdf = marginal_cdf_y(model, ts, order)
         return cdf * (1.0 - cdf)
 
-    return expect_y_prime(model, num, order=order) / expect_y_prime(model, den, order=order)
+    num = _chatterjee_shared_term(model, order) - 1.0 / 3.0
+    return num / expect_y_prime(model, den, order=order)
 
 
 def population_value(f, model: Model, order: int = 64) -> float:

@@ -107,6 +107,19 @@ def phi(z):
 _CHUNK_ARGS = 2048
 
 
+@lru_cache(maxsize=128)
+def _arcsin_rule(rho: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (weights, sin t, 2 cos^2 t) of the Gauss-Legendre rule on
+    the signed segment [0, arcsin rho], whose weights carry the sign."""
+    s = math.asin(rho)
+    t0, w0 = _leggauss(order)
+    t = 0.5 * s * (t0 + 1.0)
+    rule = (0.5 * s * w0, np.sin(t), 2.0 * np.cos(t) ** 2)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def bvn_cdf(x, y, rho: float, order: int = 64):
     """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
 
@@ -139,12 +152,7 @@ def bvn_cdf(x, y, rho: float, order: int = 64):
     else:
         p = ndtr(x) * ndtr(y)
         if rho != 0.0:
-            s = math.asin(rho)
-            t0, w0 = _leggauss(order)
-            t = 0.5 * s * (t0 + 1.0)  # signed segment [0, s]; weights carry the sign
-            w = 0.5 * s * w0
-            sin_t = np.sin(t)
-            two_cos2_t = 2.0 * np.cos(t) ** 2
+            w, sin_t, two_cos2_t = _arcsin_rule(rho, order)
             xs, ys = x.ravel(), y.ravel()
             integral = np.empty(xs.size)
             for start in range(0, xs.size, _CHUNK_ARGS):

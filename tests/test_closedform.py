@@ -334,6 +334,59 @@ class TestPinnedLevelIntegrals:
         assert abs(population_value("chatterjee", model) - xi) <= 1e-12
 
 
+class TestSharedTermOracle:
+    # The shared Chatterjee term t1 = E_Y' E_X[P(Y > Y' | X)^2] as the triple
+    # integral it is defined by: a level-refined x rule for each Y' node of
+    # expect_y_prime's (X', Z') double rule.
+    MODELS = {
+        "A": scenario("A"),
+        "B": scenario("B"),
+        "C": scenario("C"),
+        "sigma_0.001": AdditiveNoise(UniformLaw(0.0, 1.0), Link("linear", 1.0), 0.001),
+    }
+
+    @staticmethod
+    def _triple_integral(model, order):
+        from aesf.models import expect_y_prime
+        return expect_y_prime(
+            model, lambda ts: closedform._level_square_means(model, ts, order), order=order)
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_triple_integral(self, name, order):
+        model = self.MODELS[name]
+        assert abs(closedform._chatterjee_shared_term(model, order)
+                   - self._triple_integral(model, order)) <= 1e-12
+
+    def test_gaussian_published_value(self):
+        # Scenario A is the Gaussian law with rho = 0.7, whose
+        # xi = (3/pi) asin((1 + rho^2)/2) - 1/2 (Chatterjee 2021) gives
+        # t1 = 1/3 + xi/6 = 1/4 + asin((1 + rho^2)/2) / (2 pi).
+        expected = 0.25 + math.asin((1 + 0.49) / 2.0) / (2.0 * math.pi)
+        for model in (scenario("A"), GAUSS):
+            assert abs(closedform._chatterjee_shared_term(model, 64) - expected) <= 1e-12
+
+
+class TestXiIdentity:
+    # For a continuous Y, E_X P(Y > Y' | X) = 1 - F_Y(Y') is uniform, so xi's
+    # numerator is t1 - 1/3 and its denominator E[F_Y (1 - F_Y)] is 1/6.
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    def test_numerator_and_denominator(self, name):
+        from aesf.models import expect_y_prime
+        model = scenario(name)
+
+        def spread(ts):
+            cdf = marginal_cdf_y(model, ts)
+            return cdf * (1.0 - cdf)
+
+        den = expect_y_prime(model, spread)
+        t1 = closedform._chatterjee_shared_term(model, 64)
+        xi = population_value("chatterjee", model)
+        assert abs(den - 1.0 / 6.0) <= 1e-12
+        assert abs(xi - (6.0 * t1 - 2.0)) <= 1e-11
+        assert xi == pytest.approx((t1 - 1.0 / 3.0) / den, rel=1e-15)
+
+
 class TestQuadratureStability:
     def test_order_changes_move_nothing(self):
         # every closed form exercised by the acceptance suite, evaluated at

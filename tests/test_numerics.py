@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, owens_t
 from scipy.stats import multivariate_normal
 
 from aesf import DomainError, NumericsError, UniformLaw, bvn_cdf, hermite_rule, normal_cdf
@@ -257,3 +258,46 @@ class TestBvnCdfArrays:
         assert normal_cdf(zs).tolist() == [normal_cdf(z) for z in zs.tolist()]
         with pytest.raises(DomainError):
             normal_cdf(np.array([0.0, float("nan")]))
+
+
+class TestBvnCdfOwensT:
+    """``bvn_cdf`` against Owen's T function (Owen 1956):
+
+        Phi_2(h, k; rho) = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta/2,
+
+    a_h = (k - rho h) / (h sqrt(1 - rho^2)) and a_k likewise, beta = 1 when
+    hk < 0 or when hk = 0 and h + k < 0, else 0. A zero h is taken as +0,
+    so a_h = +-inf with the sign of k; the origin itself is left to
+    ``TestBvnCdf.test_origin_arcsin_identity``.
+    """
+
+    TOL = 1e-13
+
+    @staticmethod
+    def _owen(h, k, rho):
+        scale = math.sqrt(1.0 - rho * rho)
+
+        def slope(u, v):
+            return math.copysign(math.inf, v) if u == 0.0 else (v - rho * u) / (u * scale)
+
+        beta = 1.0 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+        return (0.5 * ndtr(h) + 0.5 * ndtr(k)
+                - owens_t(h, slope(h, k)) - owens_t(k, slope(k, h)) - 0.5 * beta)
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.9, -0.6, -0.25, 0.1, 0.5, 0.75, 0.95, 0.99])
+    def test_grid(self, rho):
+        values = (-4.0, -2.3, -1.0, -0.35, 0.0, 0.6, 1.7, 3.2)
+        for h in values:
+            for k in values:
+                if h == k == 0.0:
+                    continue
+                assert abs(bvn_cdf(h, k, rho) - self._owen(h, k, rho)) <= self.TOL, (h, k)
+
+    @pytest.mark.parametrize("rho", [0.5, math.sqrt(0.5)])
+    def test_diagonal_kernels(self, rho):
+        # Phi_2(a, a; 1/2) is the Chatterjee t3 and t1 kernel; 1/sqrt 2 is
+        # the correlation of the t4 kernel Phi_2(zeta, a; 1/sqrt 2).
+        a = np.linspace(-8.0, 8.0, 160)  # an even count keeps 0 off the grid
+        values = bvn_cdf(a, a, rho)
+        for i, h in enumerate(a.tolist()):
+            assert abs(values[i] - self._owen(h, h, rho)) <= self.TOL, h
