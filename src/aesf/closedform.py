@@ -172,15 +172,14 @@ def esf_exact(f, model: Model, point, n: int) -> float:
 # Kendall
 # ---------------------------------------------------------------------------
 
-def _aesf_kendall_gaussian(rho: float, x: np.ndarray, y: np.ndarray,
-                           order: int) -> np.ndarray:
+def _aesf_kendall_gaussian(rho: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # 4 P[(X-x)(Y-y) > 0] - 2 - 2 tau with the quadrant probability written
     # through the bivariate normal CDF. The limit of the expected sensitivity
     # carries twice the population correlation: the estimator is a U-statistic
     # over pairs, so the grown-sample average sheds two pair-kernels' worth of
     # tau per inserted point (Monte Carlo runs pin this factor; see the
     # exact-identity tests).
-    return (8.0 * bvn_cdf(x, y, rho, order=order)
+    return (8.0 * bvn_cdf(x, y, rho)
             - 4.0 * normal_cdf(x) - 4.0 * normal_cdf(y)
             + 2.0 - (4.0 / math.pi) * math.asin(rho))
 
@@ -285,7 +284,7 @@ def _survival_square_means(model: AdditiveNoise, xs: np.ndarray, order: int) -> 
 
     def kernel(nodes, i):
         a = _saturate((gx[i] - model.link(nodes)) / scale)
-        return bvn_cdf(a, a, 0.5, order)
+        return bvn_cdf(a, a, 0.5)
 
     return x_expectations(model, kernel, gx, order=order, half_width=Y_PRIME_HALF_WIDTH)
 
@@ -305,7 +304,7 @@ def _truncated_survival_means(model: AdditiveNoise, xs: np.ndarray, ys: np.ndarr
         g = model.link(nodes)
         zeta = _saturate((ys[i] - g) / sigma)
         a = _saturate((gx[i] - g) / (_SQRT2 * sigma))
-        return bvn_cdf(zeta, a, math.sqrt(0.5), order)
+        return bvn_cdf(zeta, a, math.sqrt(0.5))
 
     return x_expectations(model, kernel, np.column_stack((gx, ys)), order=order,
                           half_width=Y_PRIME_HALF_WIDTH)
@@ -378,7 +377,7 @@ def _aesf_chunk(f: FunctionalId, model: Model, points: np.ndarray, order: int):
 
     if f.tag == "kendall":
         if isinstance(model, BivariateGaussian):
-            return _aesf_kendall_gaussian(model.rho, x, y, order)
+            return _aesf_kendall_gaussian(model.rho, x, y)
         p = _quadrant_probabilities(model, x, y, order)
         return 4.0 * p - 2.0 - 2.0 * _tau_additive(model, order)
 

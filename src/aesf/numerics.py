@@ -1,8 +1,8 @@
 """Special functions and Gaussian quadrature used by every closed-form evaluation.
 
-Everything here is pure and reentrant: rules are read-only (nodes, weights)
-arrays, the rule caches are append-only, and no function mutates its
-arguments.
+Everything here is pure and reentrant: quadrature rules are read-only
+(nodes, weights) arrays built once per order in append-only caches, and no
+function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .errors import DomainError, NumericsError
 
@@ -62,8 +62,11 @@ def clamp_probability(p, tol: float = CLAMP_TOL):
     instead of being hidden.
     """
     if isinstance(p, np.ndarray):
-        for extreme in (p.min(), p.max()):
-            clamp_probability(float(extreme), tol)  # raises beyond tol or on NaN
+        lo, hi = float(p.min()), float(p.max())
+        if 0.0 <= lo and hi <= 1.0:  # False on NaN
+            return p
+        for extreme in (lo, hi):
+            clamp_probability(extreme, tol)  # raises beyond tol or on NaN
         return np.clip(p, 0.0, 1.0)
     if math.isnan(p):
         raise NumericsError("probability is NaN")
@@ -102,44 +105,29 @@ def phi(z):
     return ndtr(z)
 
 
-#: Most ``bvn_cdf`` arguments whose integrands are evaluated at once, which
-#: bounds memory (about 1 MB per temporary at order 64) whatever their number.
-_CHUNK_ARGS = 2048
-
-
-@lru_cache(maxsize=128)
-def _arcsin_rule(rho: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (weights, sin t, 2 cos^2 t) of the Gauss-Legendre rule on
-    the signed segment [0, arcsin rho], whose weights carry the sign."""
-    s = math.asin(rho)
-    t0, w0 = _leggauss(order)
-    t = 0.5 * s * (t0 + 1.0)
-    rule = (0.5 * s * w0, np.sin(t), 2.0 * np.cos(t) ** 2)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-def bvn_cdf(x, y, rho: float, order: int = 64):
+def bvn_cdf(x, y, rho: float):
     """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
 
     Elementwise over ``x`` and ``y``, which broadcast against each other; a
     scalar pair gives a float, and is the one-element case of an array
-    call. Evaluated through the single-integral identity
+    call. For 0 < |rho| < 1 it is Owen's T form (Owen 1956),
 
-        Phi_rho(x, y) = Phi(x) Phi(y)
-            + (1/2pi) * int_0^{arcsin rho} exp(-(x^2 - 2xy sin t + y^2)
-                                               / (2 cos^2 t)) dt,
+        Phi_rho(h, k) = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta/2,
 
-    with Gauss-Legendre quadrature on the arcsin segment; the degenerate
-    |rho| = 1 cases are handled exactly. The integrand sharpens as |rho|
-    approaches 1. Measured against 512 nodes on a [-4, 4]^2 grid with step
-    0.1, 64 nodes agree within 6e-16 for |rho| in {0.1, 0.3, 0.5, 0.7, 0.9,
-    0.95, 0.99, 0.999}; at |rho| = 0.9999 the gap reaches 3.9e-11, at
-    (x, y) = (0, 0.1). Each element's quadrature sum is formed on its own,
-    so a value does not depend on the other elements of the call.
+    a_h = (k - rho h) / (h sqrt(1 - rho^2)) and a_k likewise, beta = 1 when
+    hk < 0 or when hk = 0 and h + k < 0, else 0, with ``scipy.special.owens_t``
+    (Patefield and Tandy 2000) for T. Conventions: a zero is taken as +0, so
+    that a_h = +-inf with the sign of k at h = 0 whichever zero the caller
+    passed; the origin is 1/4 + arcsin(rho) / 2pi; and the form is
+    evaluated at (min(x, y), max(x, y)), so the value is symmetric in its
+    arguments to the last bit. When ``x`` and ``y`` are the same object, the
+    two T terms are equal and T is evaluated once; the value is the same as
+    for a copy. rho in {0, +-1} is exact. On an 81 x 81 grid over [-4, 4]^2
+    and |rho| up to 0.9999, the values lie within 1.7e-14 of a 2048-node
+    Gauss-Legendre rule on the arcsin form of Phi_rho.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    diagonal = x is y
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     rho = float(rho)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(rho)):
         raise DomainError("bvn_cdf requires finite arguments")
@@ -149,18 +137,17 @@ def bvn_cdf(x, y, rho: float, order: int = 64):
         p = ndtr(np.minimum(x, y))
     elif rho == -1.0:
         p = np.maximum(ndtr(x) + ndtr(y) - 1.0, 0.0)
-    else:
+    elif rho == 0.0:
         p = ndtr(x) * ndtr(y)
-        if rho != 0.0:
-            w, sin_t, two_cos2_t = _arcsin_rule(rho, order)
-            xs, ys = x.ravel(), y.ravel()
-            integral = np.empty(xs.size)
-            for start in range(0, xs.size, _CHUNK_ARGS):
-                part = slice(start, start + _CHUNK_ARGS)
-                a, b = xs[part, None], ys[part, None]
-                integrand = np.exp(-((a * a + b * b) - 2.0 * a * b * sin_t) / two_cos2_t)
-                # A row sum, not a matrix product, so that each element's sum
-                # is the same whatever the number of rows.
-                integral[part] = (integrand * w).sum(axis=-1)
-            p = clamp_probability(p + integral.reshape(p.shape) / (2.0 * math.pi))
+    else:
+        h, k = np.minimum(x, y) + 0.0, np.maximum(x, y) + 0.0  # -0.0 + 0.0 is +0.0
+        scale = math.sqrt((1.0 - rho) * (1.0 + rho))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero h or k
+            t_h = owens_t(h, (k / h - rho) / scale)
+            t_k = t_h if diagonal else owens_t(k, (h / k - rho) / scale)
+        beta = (h < 0.0) & (k >= 0.0)  # as h <= k
+        p = 0.5 * (ndtr(h) + ndtr(k) - beta) - t_h - t_k
+        origin = 0.25 + math.asin(rho) / (2.0 * math.pi)
+        # [()] turns a 0-d result into a scalar, which clamps without reductions.
+        p = clamp_probability(np.where((h == 0.0) & (k == 0.0), origin, p)[()])
     return float(p) if np.ndim(p) == 0 else p

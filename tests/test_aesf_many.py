@@ -29,7 +29,7 @@ from aesf import (
     expect_y_prime,
     scenario,
 )
-from aesf import closedform, numerics
+from aesf import closedform
 
 GAUSS = BivariateGaussian(0.7)
 INDEP = IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0))
@@ -181,13 +181,6 @@ class TestChunking:
         monkeypatch.setattr(closedform, "_CHUNK_POINTS", 2)
         assert np.array_equal(aesf_many(f, model, points), whole)
         assert whole.tolist() == [aesf(AesfRequest(f, model, p)) for p in points]
-
-    def test_bvn_cdf_chunks(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        x, y = rng.uniform(-4.0, 4.0, (2, 301))
-        whole = bvn_cdf(x, y, 0.6)
-        monkeypatch.setattr(numerics, "_CHUNK_ARGS", 100)
-        assert np.array_equal(bvn_cdf(x, y, 0.6), whole)
 
 
 class TestValidation:

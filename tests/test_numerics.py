@@ -45,6 +45,29 @@ BVN_ORACLE = {
 }
 
 
+def _bvn_cdf_arcsin_rule(x, y, rho, order):
+    """Reference Phi_rho(x, y) from the single-integral identity
+
+        Phi_rho(x, y) = Phi(x) Phi(y)
+            + (1/2pi) * int_0^{arcsin rho} exp(-(x^2 - 2xy sin t + y^2)
+                                               / (2 cos^2 t)) dt,
+
+    by Gauss-Legendre quadrature on the signed arcsin segment, each element's
+    row summed on its own, in blocks of 256 elements to bound memory."""
+    s = math.asin(rho)
+    t0, w0 = np.polynomial.legendre.leggauss(order)
+    t = 0.5 * s * (t0 + 1.0)
+    w, sin_t, two_cos2_t = 0.5 * s * w0, np.sin(t), 2.0 * np.cos(t) ** 2
+    xs, ys = np.ravel(x), np.ravel(y)
+    integral = np.empty(xs.size)
+    for start in range(0, xs.size, 256):
+        part = slice(start, start + 256)
+        a, b = xs[part, None], ys[part, None]
+        integrand = np.exp(-((a * a + b * b) - 2.0 * a * b * sin_t) / two_cos2_t)
+        integral[part] = (integrand * w).sum(axis=-1)
+    return ndtr(xs) * ndtr(ys) + integral / (2.0 * math.pi)
+
+
 class TestNormalCdf:
     def test_at_zero(self):
         assert normal_cdf(0.0) == 0.5
@@ -123,6 +146,31 @@ class TestBvnCdf:
             for y in grid:
                 vals = [bvn_cdf(x, y, rho) for rho in rhos]
                 assert np.all(np.diff(vals) >= -1e-15)
+
+    @pytest.mark.parametrize("rho", [-0.8, -0.3, 0.5, 0.95])
+    def test_signed_zero(self, rho):
+        # -0.0 is taken as +0.0: a zero h gives a_h = +-inf with the sign of k.
+        for k in (-1.3, 0.0, -0.0, 0.4):
+            assert bvn_cdf(-0.0, k, rho) == bvn_cdf(0.0, k, rho), k
+            assert bvn_cdf(k, -0.0, rho) == bvn_cdf(k, 0.0, rho), k
+        zeros = np.array([-0.0, 0.0, -0.0])
+        ks = np.array([-1.3, 0.0, 0.4])
+        assert np.array_equal(bvn_cdf(zeros, ks, rho), bvn_cdf(np.abs(zeros), ks, rho))
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.3, 0.7])
+    def test_origin_with_both_signs_of_zero(self, rho):
+        expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
+        for x in (0.0, -0.0):
+            for y in (0.0, -0.0):
+                assert bvn_cdf(x, y, rho) == expected, (x, y)
+        zeros = np.array([0.0, -0.0])
+        assert bvn_cdf(zeros, zeros[::-1], rho).tolist() == [expected, expected]
+
+    def test_shared_array_equals_copy(self):
+        # One array passed as both arguments (the Chatterjee diagonal) takes T
+        # once; the value must not depend on it.
+        a = np.linspace(-8.0, 8.0, 161)
+        assert np.array_equal(bvn_cdf(a, a, 0.5), bvn_cdf(a, a.copy(), 0.5))
 
     def test_rejects_bad_correlation(self):
         with pytest.raises(DomainError):
@@ -301,3 +349,18 @@ class TestBvnCdfOwensT:
         values = bvn_cdf(a, a, rho)
         for i, h in enumerate(a.tolist()):
             assert abs(values[i] - self._owen(h, h, rho)) <= self.TOL, h
+
+
+class TestBvnCdfArcsinRule:
+    """``bvn_cdf`` against the arcsin-segment quadrature at 2048 nodes on an
+    81 x 81 grid over [-4, 4]^2; the largest gap measured is 1.7e-14, at
+    |rho| = 0.9999 next to the origin."""
+
+    GRID = np.linspace(-4.0, 4.0, 81)
+
+    @pytest.mark.parametrize("rho", [-0.9999, 0.9999, -0.99, -0.5, 0.3, 0.5,
+                                     math.sqrt(0.5), 0.9, 0.99, 0.999])
+    def test_grid(self, rho):
+        x, y = (a.ravel() for a in np.meshgrid(self.GRID, self.GRID))
+        gap = np.abs(bvn_cdf(x, y, rho) - _bvn_cdf_arcsin_rule(x, y, rho, 2048))
+        assert gap.max() <= 1e-13, (x[gap.argmax()], y[gap.argmax()])
