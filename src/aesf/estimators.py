@@ -24,6 +24,8 @@ __all__ = [
     "kendall_tau",
     "rank_from_sum",
     "rank_sums",
+    "sum_of_ranks",
+    "y_ranks_in_x_order",
     "spearman_s",
     "chatterjee_xi",
 ]
@@ -130,22 +132,18 @@ def phi_derivative(name: str, z: float) -> float:
     return math.cos(z)
 
 
-def _find_ties(values: np.ndarray, label: str) -> None:
-    uniq, counts = np.unique(values, return_counts=True)
-    dup = uniq[counts > 1]
-    if dup.size:
-        rows = np.flatnonzero(np.isin(values, dup))
-        raise TieError(
-            f"tied values in {label} at rows {', '.join(map(str, rows.tolist()))}",
-            rows=tuple(int(r) for r in rows),
-        )
-
-
-def _require_rank_data(ds: Dataset) -> None:
-    if not ds.is_bivariate:
-        raise DomainError("rank correlation requires paired (x, y) data")
-    _find_ties(ds.xs, "x")
-    _find_ties(ds.ys, "y")
+def _raise_ties(ds: Dataset) -> None:
+    """Raise the ``TieError`` that names the tied rows of ``ds``, x first;
+    called once a tie mask says that ``ds`` ties."""
+    for values, label in ((ds.xs, "x"), (ds.ys, "y")):
+        uniq, counts = np.unique(values, return_counts=True)
+        dup = uniq[counts > 1]
+        if dup.size:
+            rows = np.flatnonzero(np.isin(values, dup))
+            raise TieError(
+                f"tied values in {label} at rows {', '.join(map(str, rows.tolist()))}",
+                rows=tuple(int(r) for r in rows),
+            )
 
 
 def estimate(f, ds: Dataset) -> float:
@@ -223,43 +221,57 @@ def _count_inversions(p: np.ndarray) -> np.ndarray:
     return total
 
 
-def _argsort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorting permutation of each row and whether the row holds a tie.
+def y_ranks_in_x_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks r of the y values taken in increasing-x order, along the
+    rows of (rows, n) ``xs`` and ``ys``, and a mask of the rows that hold a
+    tie in x or in y (their ranks mean nothing).
 
-    Tie-free rows sort in one order only, so any sort kind gives the
-    permutation a stable sort gives; the order of a tied row is not used.
+    One argsort per axis and row, gathered and scattered through flat
+    indices (order + row * n into the raveled rows). Tie-free rows sort in
+    one order only, so any sort kind gives the permutation a stable sort
+    gives; a row ties when two adjacent entries of a sorted axis are equal.
     """
-    order = np.argsort(values, axis=1)
-    ordered = np.take_along_axis(values, order, axis=1)
-    return order, np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    rows, n = xs.shape
+    if n < 2:
+        raise DomainError("rank correlation requires at least 2 observations")
+    offsets = np.arange(0, rows * n, n)[:, None]
+    x_order = np.argsort(xs, axis=1)
+    x_order += offsets
+    y_order = np.argsort(ys, axis=1)
+    y_order += offsets
+    tied = np.zeros(rows, dtype=bool)
+    for values, order in ((xs, x_order), (ys, y_order)):
+        ordered = values.ravel()[order]
+        tied |= np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    y_ranks = np.empty(rows * n, dtype=np.intp)
+    y_ranks[y_order] = np.arange(n)
+    return y_ranks[x_order], tied
 
 
-def rank_sums(tag: str, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact integer sum behind a rank correlation, along the rows of
-    (rows, n) ``xs`` and ``ys``, and a mask of the rows that hold a tie in x
-    or in y (their sums mean nothing).
+def sum_of_ranks(tag: str, r: np.ndarray) -> np.ndarray:
+    """The exact integer sum behind a rank correlation, for each row of the
+    y ranks in x order ``r`` (rows, n).
 
     With r_i the rank of y_(i), the y value of the i-th smallest x, the
     sums are: Kendall's concordance sum, n(n - 1)/2 - 2 * #inversions of r;
     Spearman's sum of squared rank differences, sum (r_i - i)^2; and
     Chatterjee's sum of rank jumps, sum |r_(i+1) - r_i|.
     """
-    n = xs.shape[1]
-    if n < 2:
-        raise DomainError("rank correlation requires at least 2 observations")
-    x_order, x_tied = _argsort_rows(xs)
-    y_order, y_tied = _argsort_rows(ys)
-    y_ranks = np.empty_like(y_order)
-    np.put_along_axis(y_ranks, y_order, np.arange(n), axis=1)
-    r = np.take_along_axis(y_ranks, x_order, axis=1)
+    n = r.shape[1]
     if tag == "kendall":
-        sums = n * (n - 1) // 2 - 2 * _count_inversions(r)
-    elif tag == "spearman":
+        return n * (n - 1) // 2 - 2 * _count_inversions(r)
+    if tag == "spearman":
         d = r - np.arange(n)
-        sums = (d * d).sum(axis=1)
-    else:
-        sums = np.abs(np.diff(r, axis=1)).sum(axis=1)
-    return sums, x_tied | y_tied
+        return (d * d).sum(axis=1)
+    return np.abs(np.diff(r, axis=1)).sum(axis=1)
+
+
+def rank_sums(tag: str, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_of_ranks`` along the rows of (rows, n) ``xs`` and ``ys``, and a
+    mask of the rows that hold a tie in x or in y (their sums mean nothing).
+    """
+    r, tied = y_ranks_in_x_order(xs, ys)
+    return sum_of_ranks(tag, r), tied
 
 
 def rank_from_sum(tag: str, sums, n: int):
@@ -276,8 +288,11 @@ def rank_from_sum(tag: str, sums, n: int):
 
 
 def _rank_estimate(tag: str, ds: Dataset) -> float:
-    _require_rank_data(ds)
-    sums, _ = rank_sums(tag, ds.xs[None], ds.ys[None])
+    if not ds.is_bivariate:
+        raise DomainError("rank correlation requires paired (x, y) data")
+    sums, tied = rank_sums(tag, ds.xs[None], ds.ys[None])
+    if tied[0]:
+        _raise_ties(ds)
     return float(rank_from_sum(tag, sums[0], ds.n))
 
 

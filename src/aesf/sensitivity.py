@@ -9,10 +9,12 @@ and replicates are aggregated in index order.
 Replicates run in batches at attempt 0: ``models.sample_batches`` draws the
 samples of many replicates as (rows, n) arrays, univariate functionals get
 their SFs along the rows from ``estimate_rows``, and rank functionals from
-exact integer sums along the rows (``_rank_sf_rows``). A replicate whose
-sample or insertion ties falls back to the per-replicate path (``sample``
-on ``derive_seed(seed, r, attempt)``) from attempt 1 on. Every value is the
-float that the per-replicate loop over ``_replicate_sf`` gives.
+exact integer sums along the rows (``_rank_sf_rows``): each sample is ranked
+once, and the grown sample's sum is updated from the sample's ranks, not
+ranked again. A replicate whose sample or insertion ties falls back to the
+per-replicate path (``sample`` on ``derive_seed(seed, r, attempt)``) from
+attempt 1 on. Every value is the float that the per-replicate loop over
+``_replicate_sf`` gives.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import closedform
 from .errors import AesfError, DomainError, TieError, UnsupportedError
-from .estimators import (Dataset, FunctionalId, _require_rank_data, as_functional, estimate,
-                         estimate_rows, rank_from_sum, rank_sums)
+from .estimators import (Dataset, FunctionalId, _raise_ties, as_functional, estimate,
+                         estimate_rows, rank_from_sum, sum_of_ranks, y_ranks_in_x_order)
 from .models import Model, derive_seed, is_bivariate, sample, sample_batches
 
 __all__ = [
@@ -126,24 +128,51 @@ def _rank_sf_rows(tag: str, xs: np.ndarray, ys: np.ndarray,
     and a mask of the rows on which ``sf`` raises ``TieError`` (their values
     mean nothing).
 
-    The grown sample's integer sum goes through the float expression the
-    sample's goes through, so each value is the float ``sf`` gives. Kendall's
-    grown sum is S_n + sum_i s_i(z) (notes/decisions.md), with the sign
-    s_i(z) of (X_i - x)(Y_i - y) taken by comparison: the product of the two
-    differences can underflow to 0. Spearman's and Chatterjee's come from
-    ranking the grown rows.
+    The sample is ranked once, and the grown sample's integer sum
+    (``_grown_sums``) goes through the float expression the sample's goes
+    through, so each value is the float ``sf`` gives.
     """
     px, py = point
     n = xs.shape[1]
-    base, tied = rank_sums(tag, xs, ys)
+    r, tied = y_ranks_in_x_order(xs, ys)
     tied |= np.any(xs == px, axis=1) | np.any(ys == py, axis=1)
-    if tag == "kendall":
-        grown = base + 2 * np.count_nonzero((xs > px) == (ys > py), axis=1) - n
-    else:
-        column = (len(xs), 1)
-        grown, _ = rank_sums(tag, np.concatenate((xs, np.full(column, px)), axis=1),
-                             np.concatenate((ys, np.full(column, py)), axis=1))
+    base = sum_of_ranks(tag, r)
+    grown = _grown_sums(tag, xs, ys, r, base, point)
     return (n + 1) * (rank_from_sum(tag, grown, n + 1) - rank_from_sum(tag, base, n)), tied
+
+
+def _grown_sums(tag: str, xs: np.ndarray, ys: np.ndarray, r: np.ndarray,
+                base: np.ndarray, point) -> np.ndarray:
+    """The integer sum of each row of (rows, n) ``xs`` and ``ys`` with
+    ``point`` appended, from the row's y ranks in x order ``r`` and its sum
+    ``base``, without ranking again.
+
+    Kendall's is S_n + sum_i s_i(z), the sign s_i(z) of (X_i - x)(Y_i - y)
+    taken by comparison, since the product can underflow to 0. Spearman's
+    and Chatterjee's come by a rank shift (notes/decisions.md): the point
+    lands at x position kx = #(X_i < x) with y rank ky = #(Y_i < y), so the
+    grown y ranks in x order are s[:kx], ky, s[kx:] with s = r + (r >= ky).
+    """
+    px, py = point
+    n = xs.shape[1]
+    if tag == "kendall":
+        return base + 2 * np.count_nonzero((xs > px) == (ys > py), axis=1) - n
+    kx = np.count_nonzero(xs < px, axis=1)
+    ky = np.count_nonzero(ys < py, axis=1)
+    s = r + (r >= ky[:, None])
+    if tag == "spearman":
+        # s_i moves to position i + 1 from kx on.
+        i = np.arange(n)
+        d = s - i - (i >= kx[:, None])
+        return (d * d).sum(axis=1) + (ky - kx) ** 2
+    # The point splits the jump from s[kx - 1] to s[kx] in two. Clamped to
+    # the row, left and right are equal at either end, where a half is missing.
+    flat = s.ravel()
+    starts = np.arange(0, s.size, n)
+    left = flat[starts + np.maximum(kx - 1, 0)]
+    right = flat[starts + np.minimum(kx, n - 1)]
+    return (np.abs(np.diff(s, axis=1)).sum(axis=1) - np.abs(right - left)
+            + (kx > 0) * np.abs(ky - left) + (kx < n) * np.abs(right - ky))
 
 
 def sf_kendall_incremental(ds: Dataset, point) -> float:
@@ -156,8 +185,9 @@ def sf_kendall_incremental(ds: Dataset, point) -> float:
     """
     f = FunctionalId("kendall")
     point = _check_insertion(f, ds, point)
-    _require_rank_data(ds)
-    values, _ = _rank_sf_rows(f.tag, ds.xs[None], ds.ys[None], point)
+    values, tied = _rank_sf_rows(f.tag, ds.xs[None], ds.ys[None], point)
+    if tied[0]:
+        _raise_ties(ds)
     return float(values[0])
 
 
@@ -187,6 +217,9 @@ def _replicate_values(f: FunctionalId, model: Model, n: int, point,
         raise DomainError("need at least 2 replicates")
     if n < 1:
         raise DomainError("sample size must be >= 1")
+    if not 0 <= int(seed) < 1 << 64:
+        # Streams are keyed by the seed's 64 bits; a wider seed would alias.
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     values = np.empty(replicates)
     resamples = 0
     for start, xs, ys in sample_batches(model, n, seed, replicates):

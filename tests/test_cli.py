@@ -146,6 +146,31 @@ class TestEsf:
         assert code == 0
 
 
+class TestSeedDomain:
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("command", [
+        ("esf",), ("sfdist", "--out", "dist.csv"),
+        ("converge", "--schedule", "5,10,20", "--out", "conv.csv")])
+    def test_out_of_range_seed_exit_1(self, capsys, tmp_path, monkeypatch, command, seed):
+        monkeypatch.chdir(tmp_path)
+        extra = () if command[0] == "converge" else ("--n", "10")
+        code, out, err = run(capsys, *command, *extra, "--model", NORMAL_JSON,
+                             "--functional", "mean", "--x", "1", "--replicates", "4",
+                             "--seed", seed, "--json")
+        assert code == 1 and out == ""
+        assert "seed must lie in [0, 2^64)" in err
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_bounds_accepted_and_reported(self, capsys, seed):
+        code, out, _ = run(capsys, "esf", "--model", NORMAL_JSON, "--functional", "mean",
+                           "--n", "10", "--x", "1", "--replicates", "4",
+                           "--seed", str(seed), "--json")
+        report = json.loads(out)
+        assert code == 0 and report["seed"] == report["result"]["seed"] == seed
+        mc = esf_mc("mean", UnivariateNormal(0.0, 1.0), 10, 1.0, 4, seed)
+        assert report["result"]["value"] == mc.value
+
+
 class TestAesfGrid:
     def test_explicit_grid_schema_and_order(self, capsys, tmp_path):
         out_csv = tmp_path / "surf.csv"

@@ -181,6 +181,33 @@ def test_rank_statistics_match_oracles_across_powers_of_two():
         assert chatterjee_xi(ds) == 1.0 - 3.0 * jumps / (n * n - 1)
 
 
+class TestScalarRanking:
+    """A rank estimate sorts each axis once; only a tie looks for the rows."""
+
+    def test_tie_free_sample_sorts_twice(self, monkeypatch):
+        from aesf import estimators
+        argsort, calls = np.argsort, []
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        monkeypatch.setattr(estimators, "_raise_ties", lambda *a: pytest.fail("searched ties"))
+        for tag in ("kendall", "spearman", "chatterjee"):
+            calls.clear()
+            estimate(tag, THREE)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
+    def test_ties_named_x_first(self, tag):
+        with pytest.raises(TieError, match="tied values in y at rows 0, 2") as err:
+            estimate(tag, Dataset(np.array([1.0, 2.0, 3.0]), np.array([5.0, 4.0, 5.0])))
+        assert err.value.rows == (0, 2)
+        with pytest.raises(TieError, match="tied values in x at rows 1, 2") as err:
+            estimate(tag, Dataset(np.array([1.0, 2.0, 2.0]), np.array([5.0, 4.0, 4.0])))
+        assert err.value.rows == (1, 2)
+
+    def test_univariate_sample_rejected(self):
+        with pytest.raises(DomainError, match="paired"):
+            spearman_s(Dataset(np.array([1.0, 2.0, 3.0])))
+
+
 @st.composite
 def _tie_free_pairs(draw):
     n = draw(st.integers(3, 25))

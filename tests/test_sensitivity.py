@@ -29,8 +29,8 @@ from aesf import (
     sf_kendall_incremental,
 )
 from aesf import models
-from aesf.estimators import as_functional
-from aesf.sensitivity import _replicate_sf
+from aesf.estimators import as_functional, rank_sums, sum_of_ranks, y_ranks_in_x_order
+from aesf.sensitivity import _grown_sums, _rank_sf_rows, _replicate_sf
 
 UNIV = Dataset(np.array([1.0, 2.0, 3.0]))
 
@@ -291,6 +291,89 @@ class TestBatchedEngine:
             ds = Dataset(rng.standard_normal(n) * scale, rng.standard_normal(n) * scale)
             point = (float(rng.standard_normal()) * scale, float(rng.standard_normal()) * scale)
             assert sf_kendall_incremental(ds, point) == sf("kendall", ds, point)
+
+
+def _grown_by_reranking(tag, xs, ys, point):
+    """The grown rows' sums and tie mask, by appending the point and ranking
+    the (rows, n + 1) arrays again."""
+    column = (len(xs), 1)
+    return rank_sums(tag, np.concatenate((xs, np.full(column, point[0])), axis=1),
+                     np.concatenate((ys, np.full(column, point[1])), axis=1))
+
+
+@st.composite
+def _rows_and_insertion(draw):
+    """Rows of permutations of 0 .. n - 1 on each axis, some with a planted
+    tie, and a point at x position kx and y rank ky; a whole-number
+    coordinate ties with every row instead."""
+    n = draw(st.integers(2, 12))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = np.argsort(rng.random((rows, n)), axis=1).astype(float)
+    ys = np.argsort(rng.random((rows, n)), axis=1).astype(float)
+    for values in (xs, ys):
+        for row in draw(st.sets(st.integers(0, rows - 1))):
+            values[row, rng.integers(n)] = values[row, rng.integers(n)]
+    kx, ky = draw(st.integers(0, n)), draw(st.integers(0, n))
+    px = kx - 0.5 if draw(st.integers(0, 9)) else float(min(kx, n - 1))
+    py = ky - 0.5 if draw(st.integers(0, 9)) else float(min(ky, n - 1))
+    return xs, ys, (px, py)
+
+
+class TestRankShift:
+    """The grown sums from one ranking equal those of ranking the grown rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rows_and_insertion())
+    def test_grown_sums_equal_reranking(self, case):
+        xs, ys, point = case
+        for tag in ("kendall", "spearman", "chatterjee"):
+            r, _ = y_ranks_in_x_order(xs, ys)
+            grown = _grown_sums(tag, xs, ys, r, sum_of_ranks(tag, r), point)
+            expected, expected_tied = _grown_by_reranking(tag, xs, ys, point)
+            _, tied = _rank_sf_rows(tag, xs, ys, point)
+            assert tied.tolist() == expected_tied.tolist()
+            assert grown[~tied].tolist() == expected[~tied].tolist()
+
+    @pytest.mark.parametrize("tag", ["spearman", "chatterjee"])
+    def test_rank_shift_is_sf(self, tag):
+        # sizes on both sides of powers of two, tiny magnitudes, and points
+        # below, inside and above each axis
+        rng = np.random.default_rng(34)
+        for n in (2, 3, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025):
+            for scale in (1.0, 1e-160, 1e-200):
+                xs = rng.standard_normal((4, n)) * scale
+                ys = rng.standard_normal((4, n)) * scale
+                for px, py in ((0.0, 0.0), (-5.0, 5.0), (5.0, -5.0),
+                               tuple(rng.standard_normal(2))):
+                    point = (px * scale, py * scale)
+                    values, tied = _rank_sf_rows(tag, xs, ys, point)
+                    assert not tied.any()
+                    for row in range(4):
+                        assert values[row] == sf(tag, Dataset(xs[row], ys[row]), point)
+
+
+class TestSeedDomain:
+    """Monte Carlo seeds are the 64-bit stream keys; others would alias."""
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_rejected(self, seed):
+        m = BivariateGaussian(0.5)
+        with pytest.raises(DomainError, match="seed"):
+            esf_mc("kendall", m, 10, (0.1, 0.2), 4, seed)
+        with pytest.raises(DomainError, match="seed"):
+            sf_distribution("spearman", m, 10, (0.1, 0.2), 4, seed)
+        with pytest.raises(DomainError, match="seed"):
+            convergence_study("mean", UnivariateNormal(0, 1), 0.0, [5, 10, 20], 4, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_bounds_accepted(self, seed):
+        mc = esf_mc("kendall", BivariateGaussian(0.5), 10, (0.1, 0.2), 4, seed)
+        assert mc.seed == seed
+        values = sf_distribution("mean", UnivariateNormal(0, 1), 10, 0.5, 4, seed)
+        for r, v in enumerate(values):
+            ds = sample(UnivariateNormal(0, 1), 10, derive_seed(seed, r))
+            assert v == sf("mean", ds, 0.5)
 
 
 class TestConvergenceStudy:
