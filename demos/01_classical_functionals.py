@@ -45,7 +45,7 @@ for x in (0.0, 1.0, 2.0):
 # the large-n limit equals the influence function (x - mu)^2 - sigma^2
 print("  limit at x=2:", aesf(AesfRequest("variance", model, 2.0)))
 
-# --- the uniform maximum: ESF depends on n, and the limit isbruptly
+# --- the uniform maximum: ESF depends on n, and the limit is abruptly
 # different at the boundary ----------------------------------------------
 umax = UniformMax(1.0)
 print("\nESF(uniform max), theta = 1, x = 0.9:  x (x/theta)^n")

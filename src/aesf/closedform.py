@@ -38,7 +38,7 @@ from .models import (
     x_expectation_rule,
     x_expectations,
 )
-from .numerics import bvn_cdf, hermite_rule, normal_cdf, phi
+from .numerics import bvn_cdf, hermite_rule, ndtr, normal_cdf
 
 __all__ = ["AesfRequest", "esf_exact", "aesf", "aesf_many", "population_value",
            "is_supported"]
@@ -207,7 +207,7 @@ def _tau_additive(model: AdditiveNoise, order: int) -> float:
 
     def kernel(x, i):
         # Inner rule i is split at its outer node t and counts only x < t.
-        diff = 2.0 * phi((g_outer[i] - model.link(x)) / (_SQRT2 * model.noise_sigma)) - 1.0
+        diff = 2.0 * ndtr((g_outer[i] - model.link(x)) / (_SQRT2 * model.noise_sigma)) - 1.0
         return np.where(x < outer_nodes[i], diff, 0.0)
 
     inner = x_expectations(model, kernel, g_outer, cuts=outer_nodes, order=order,
@@ -227,7 +227,7 @@ def _aesf_spearman_gaussian(rho: float, x: np.ndarray, y: np.ndarray,
     def cross(levels):
         # E[Phi(T) Phi((rho T - c) / scale)] for T ~ N(0, 1), one row per level c;
         # row sums, so that a level's value does not depend on the others.
-        return (phi(t) * phi((rho * t - levels[:, None]) / scale) * w).sum(axis=-1)
+        return (ndtr(t) * ndtr((rho * t - levels[:, None]) / scale) * w).sum(axis=-1)
 
     cross_y, cross_x = _per_distinct(y, cross), _per_distinct(x, cross)
     return (12.0 * normal_cdf(x) * normal_cdf(y)
@@ -264,14 +264,13 @@ def _level_square_means(model: Model, ts, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _chatterjee_shared_term(model: Model, order: int) -> float:
-    """Point-free t1 = E_{Y'} E_X[P(Y > Y' | X)^2], as E_X[t3(X)] without a y law."""
-    if model.y_law is None:
-        nodes, weights = x_expectation_rule(model, order=order)
-        return float(weights @ _survival_square_means(model, nodes, order))
-    return expect_y_prime(model, lambda ts: _level_square_means(model, ts, order), order=order)
+    """Point-free t1 = E_{Y'} E_X[P(Y > Y' | X)^2] of a model with a link,
+    as E_X[t3(X)] on the panelled x rule (notes/decisions.md)."""
+    nodes, weights = x_expectation_rule(model, order=order)
+    return float(weights @ _survival_square_means(model, nodes, order))
 
 
-def _survival_square_means(model: AdditiveNoise, xs: np.ndarray, order: int) -> np.ndarray:
+def _survival_square_means(model: Model, xs: np.ndarray, order: int) -> np.ndarray:
     """E_{Y'}[P(Y > Y' | X = x)^2] at each x, for Y' = g(X') + sigma Z': the
     term t3 of the Chatterjee AESF, and over an x rule the shared term t1.
 
@@ -289,7 +288,7 @@ def _survival_square_means(model: AdditiveNoise, xs: np.ndarray, order: int) -> 
     return x_expectations(model, kernel, gx, order=order, half_width=Y_PRIME_HALF_WIDTH)
 
 
-def _truncated_survival_means(model: AdditiveNoise, xs: np.ndarray, ys: np.ndarray,
+def _truncated_survival_means(model: Model, xs: np.ndarray, ys: np.ndarray,
                               order: int) -> np.ndarray:
     """E_{Y'}[P(Y > Y' | X = x) 1(Y' < y)] at each (x, y), for Y' = g(X') + sigma Z'.
 
@@ -310,27 +309,14 @@ def _truncated_survival_means(model: AdditiveNoise, xs: np.ndarray, ys: np.ndarr
                           half_width=Y_PRIME_HALF_WIDTH)
 
 
-def _law_survival_means(model: Model, x: float, y: float, order: int) -> tuple[float, float]:
-    """(t3, t4) of ``_aesf_chatterjee`` at one point, by quadrature over a
-    closed-form y marginal."""
-    surv_at_x = lambda ts: conditional_survival(model, ts, x)
-    sharp = () if model.link is None else (float(model.link(x)),)
-    t3 = expect_y_prime(model, lambda ts: surv_at_x(ts) ** 2, sharp_levels=sharp, order=order)
-    t4 = expect_y_prime(model, surv_at_x, upper=y, sharp_levels=sharp, order=order)
-    return t3, t4
-
-
 def _aesf_chatterjee(model: Model, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    if model.link is None:
+        # Y independent of X: t1 = t3 = 1/3, t2 = S(y)^2, t4 = (1 - S(y)^2) / 2 cancel.
+        return np.zeros(len(x))
     t1 = _chatterjee_shared_term(model, order)
     t2 = _per_distinct(y, lambda ys: _level_square_means(model, ys, order))
-    if model.y_law is None:
-        # Additive noise without a closed-form y marginal: the inner Z'
-        # integrals are bivariate normal CDFs.
-        t3 = _per_distinct(x, lambda xs: _survival_square_means(model, xs, order))
-        t4 = _truncated_survival_means(model, x, y, order)
-    else:
-        t3, t4 = np.transpose([_law_survival_means(model, a, b, order)
-                               for a, b in zip(x.tolist(), y.tolist())])
+    t3 = _per_distinct(x, lambda xs: _survival_square_means(model, xs, order))
+    t4 = _truncated_survival_means(model, x, y, order)
     return -12.0 * t1 + 6.0 * t2 - 6.0 * t3 + 12.0 * t4
 
 

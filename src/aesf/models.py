@@ -25,6 +25,7 @@ from numpy's compiled Philox or, for short streams, the kernel ``_philox_raw``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -385,17 +386,31 @@ def model_from_json(obj) -> Model:
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _stream_seed(seed) -> int:
+    """The seed as an int; streams are keyed by its 64 bits, so a wider,
+    negative or non-integer seed would alias another and is rejected."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value <= _MASK64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    return value
+
+
 def derive_seed(seed: int, replicate: int, attempt: int = 0) -> int:
     """64-bit stream seed for one replicate, independent of all others.
 
     Hashing (seed, replicate, attempt) through SeedSequence keeps replicate
     streams uncoupled, so a Monte Carlo run can draw its replicates in any
     order or in batches and still aggregate deterministically. The replicate
-    and the attempt must lie in [0, 2^32), as in ``derive_seeds``.
+    and the attempt must lie in [0, 2^32), as in ``derive_seeds``; the seed
+    must be an integer in [0, 2^64).
     """
+    seed = _stream_seed(seed)
     if not (0 <= int(replicate) <= _MASK32 and 0 <= int(attempt) <= _MASK32):
         raise DomainError("replicate and attempt must lie in [0, 2^32)")
-    ss = np.random.SeedSequence(entropy=[int(seed) & _MASK64, int(replicate), int(attempt)])
+    ss = np.random.SeedSequence(entropy=[seed, int(replicate), int(attempt)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -429,10 +444,10 @@ def derive_seeds(seed: int, replicates) -> np.ndarray:
     the seed's one or two little-endian 32-bit words, r and the attempt, so
     they never outnumber the pool and r must be below 2^32.
     """
+    seed = _stream_seed(seed)
     r = np.asarray(replicates, dtype=np.int64)
     if r.size and (r.min() < 0 or r.max() > _MASK32):
         raise DomainError("replicate indices must lie in [0, 2^32)")
-    seed = int(seed) & _MASK64
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
     zeros = np.zeros(r.shape, dtype=np.uint32)
     entropy = [zeros + np.uint32(w) for w in words] + [r.astype(np.uint32), zeros]
@@ -788,73 +803,21 @@ def y_moments(model: Model, order: int = 64) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def expect_y_prime(model: Model, h: Callable[[np.ndarray], np.ndarray], *,
-                   upper: Optional[float] = None, sharp_levels=(),
                    order: int = 64) -> float:
-    """E[h(Y')] where Y' follows the marginal law of Y.
+    """E[h(Y')] where Y' follows the marginal law of Y; ``h`` must accept
+    numpy arrays.
 
-    ``h`` must accept numpy arrays. With ``upper=c`` the integrand is
-    restricted to ``Y' < c`` (computed with c as an exact integration
-    boundary, so indicator truncations cost no accuracy). ``sharp_levels``
-    lists y values around which h varies on the conditional noise scale;
-    they refine the quadrature the same way ``x_expectation_rule`` does.
-
-    Models with a closed-form y marginal integrate over it directly (a
-    single Hermite rule for a normal marginal); additive-noise models use a
-    double rule over (X', Z'). ``upper=inf`` truncates nothing; a NaN
-    ``upper`` or sharp level raises ``DomainError``.
+    Models with a closed-form y marginal integrate over it with one plain
+    rule (Hermite for a normal marginal); additive-noise models use the
+    Hermite double rule over (X', Z'), Y' = g(X') + noise_sigma Z'.
+    Integrands with an indicator or a sharp transition in Y' are not for
+    this rule: the closed forms take those through ``numerics.bvn_cdf``.
     """
     _require_bivariate(model, "expect_y_prime")
-    if upper is not None and math.isnan(upper):
-        raise DomainError("expect_y_prime is undefined below a NaN upper bound")
-    if np.isnan(np.asarray(sharp_levels, dtype=float)).any():
-        raise DomainError("expect_y_prime cannot refine around a NaN level")
-
     if model.y_law is not None:
-        return _law_expect(model.y_law, h, upper, sharp_levels, order)
-
-    # Additive noise: outer over X', inner over Z'.
-    sigma = model.noise_sigma
-    levels = list(sharp_levels) + ([upper] if upper is not None else [])
-    outer_nodes, outer_weights = x_expectation_rule(
-        model, levels=levels, order=order, half_width=Y_PRIME_HALF_WIDTH)
-    g = model.link(outer_nodes)
-
-    if upper is None:
-        z_nodes, z_weights = hermite_rule(order)
-        values = h(g[:, None] + sigma * z_nodes[None, :])
-        return float(outer_weights @ (values @ z_weights))
-
-    # Truncated inner integral over Z' in [-tail, zeta_i], as a fixed number
-    # of equal panels per node so that low base orders stay accurate over
-    # the up-to-17-unit range.
-    zeta = np.minimum((upper - g) / sigma, NORMAL_TAIL)
-    active = zeta > -NORMAL_TAIL
-    if not np.any(active):
-        return 0.0
-    t0, w0 = _leggauss(order)
-    panels = 6
-    width = (zeta[active] + NORMAL_TAIL) / panels  # (nu,)
-    offsets = np.arange(panels)[:, None] + 0.5 * (t0[None, :] + 1.0)  # (panels, order)
-    z = -NORMAL_TAIL + width[:, None, None] * offsets[None, :, :]  # (nu, panels, order)
-    values = h(g[active, None, None] + sigma * z) * normal_pdf(z)
-    inner = (values @ (0.5 * w0)).sum(axis=1) * width
-    return float(outer_weights[active] @ inner)
-
-
-def _law_expect(law: Law, h, upper, sharp_levels, order: int) -> float:
-    if upper is None and not sharp_levels:
-        nodes, weights = plain_law_rule(law, order)
+        nodes, weights = plain_law_rule(model.y_law, order)
         return float(weights @ h(nodes))
-    lo, hi = law.support()
-    if upper is not None:
-        if upper <= lo:
-            return 0.0
-        hi = min(hi, float(upper))
-        if hi <= lo:
-            return 0.0
-    bounded = UniformLaw(lo, hi)
-    nodes, weights, _ = _panel_rules(
-        bounded, np.asarray(sharp_levels, dtype=float).reshape(1, -1), order)
-    # _panel_rules folded the uniform density; swap in the real one.
-    weights = weights * (hi - lo) * law.pdf(nodes)
-    return float(weights @ h(nodes))
+    outer_nodes, outer_weights = x_expectation_rule(model, order=order)
+    z_nodes, z_weights = hermite_rule(order)
+    values = h(model.link(outer_nodes)[:, None] + model.noise_sigma * z_nodes[None, :])
+    return float(outer_weights @ (values @ z_weights))

@@ -100,11 +100,6 @@ def normal_pdf(z):
     return np.exp(-0.5 * z * z) / _SQRT_TWO_PI
 
 
-def phi(z):
-    """Standard normal CDF, vectorized (thin wrapper over ``scipy.special.ndtr``)."""
-    return ndtr(z)
-
-
 def bvn_cdf(x, y, rho: float):
     """P(X <= x, Y <= y) for a standard bivariate normal with correlation rho.
 

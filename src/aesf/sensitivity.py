@@ -217,9 +217,6 @@ def _replicate_values(f: FunctionalId, model: Model, n: int, point,
         raise DomainError("need at least 2 replicates")
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    if not 0 <= int(seed) < 1 << 64:
-        # Streams are keyed by the seed's 64 bits; a wider seed would alias.
-        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     values = np.empty(replicates)
     resamples = 0
     for start, xs, ys in sample_batches(model, n, seed, replicates):

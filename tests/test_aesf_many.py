@@ -26,10 +26,10 @@ from aesf import (
     aesf_many,
     bvn_cdf,
     conditional_survival,
-    expect_y_prime,
     scenario,
 )
 from aesf import closedform
+from y_prime_quadrature import expect_y_prime
 
 GAUSS = BivariateGaussian(0.7)
 INDEP = IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0))
@@ -80,8 +80,8 @@ class TestOwenIdentities:
 
 class TestClosedFormChatterjeeTerms:
     """t3 and t4 of the Chatterjee AESF through the bivariate normal CDF,
-    against the double quadrature over (X', Z') that ``expect_y_prime``
-    still performs."""
+    against the double quadrature over (X', Z') of the truncating
+    ``expect_y_prime`` kept in ``y_prime_quadrature``."""
 
     MODELS = [scenario("A"), scenario("B"), scenario("C"),
               _noisy_identity(0.1), _noisy_identity(0.01), _noisy_identity(0.001)]

@@ -22,6 +22,7 @@ from aesf import (
     UnsupportedError,
     aesf,
     bvn_cdf,
+    conditional_survival,
     esf_exact,
     marginal_cdf_x,
     marginal_cdf_y,
@@ -188,6 +189,25 @@ class TestChatterjeeAesf:
             assert aesf(_req("chatterjee", GAUSS_CLONE, pt)) == pytest.approx(
                 aesf(_req("chatterjee", GAUSS, pt)), abs=1e-10)
 
+    @pytest.mark.parametrize("rho", [0.7, -0.5, 0.95])
+    def test_gaussian_vs_y_marginal_route(self, rho):
+        # The four terms on the y-marginal route, independent of Phi_2: t1
+        # from level-refined x rules on a Hermite rule over the normal y
+        # marginal, t3 and t4 from one re-weighted Legendre rule per point,
+        # refined at rho x and bounded above by y.
+        from y_prime_quadrature import expect_y_prime
+        model = BivariateGaussian(rho)
+        points = [(0.0, 0.0), (1.0, 0.5), (-2.0, 1.5), (0.3, -2.2), (2.5, 2.4)]
+        values = closedform.aesf_many("chatterjee", model, points)
+        t1 = expect_y_prime(model, lambda ts: closedform._level_square_means(model, ts, 64))
+        for (x, y), v in zip(points, values):
+            surv = lambda ts: conditional_survival(model, ts, x)
+            t2 = closedform._level_square_means(model, np.array([y]), 64)[0]
+            t3 = expect_y_prime(model, lambda ts: surv(ts) ** 2, sharp_levels=(rho * x,))
+            t4 = expect_y_prime(model, surv, upper=y, sharp_levels=(rho * x,))
+            old = -12.0 * t1 + 6.0 * t2 - 6.0 * t3 + 12.0 * t4
+            assert abs(v - old) <= 1e-12 * max(1.0, abs(old)), (x, y)
+
     def test_noiseless_limit_is_rank_distance(self):
         # Y = X on U(0,1): the limit surface is -6|x - y|
         points = [(0.3, 0.6), (0.2, 0.9), (0.8, 0.75)]
@@ -212,11 +232,9 @@ class TestChatterjeeAesf:
         # E over Y' of the squared conditional survival under the Gaussian
         # model has a bivariate-normal closed form: an independent check of
         # the quadrature assembly used by the four-term AESF.
-        from aesf.models import expect_y_prime, conditional_survival
         rho, x = 0.7, 0.9
         scale = math.sqrt(1 - rho * rho)
-        t3 = expect_y_prime(GAUSS, lambda ts: conditional_survival(GAUSS, ts, x) ** 2,
-                            sharp_levels=(rho * x,))
+        t3 = closedform._survival_square_means(GAUSS, np.array([x]), 64)[0]
         a, b = rho * x / scale, -1.0 / scale
         denom = math.sqrt(1 + b * b)
         closed = bvn_cdf(a / denom, a / denom, b * b / (1 + b * b))

@@ -34,6 +34,7 @@ from aesf import (
 )
 from aesf import models
 from aesf.models import x_expectation_rule, x_expectation_rules, x_expectations, y_moments
+from y_prime_quadrature import expect_y_prime as truncating_expect
 
 # Determinism pins: frozen outputs of the documented draw scheme
 # (Philox keyed by the seed; inverse-CDF normals on (k+1/2)/2^53 uniforms).
@@ -174,6 +175,22 @@ class TestBatchedSampling:
         for bad in (-1, 2 ** 32):
             with pytest.raises(DomainError):
                 models.derive_seeds(3, [0, bad])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_seeds_outside_the_key_domain_rejected(self, seed):
+        # -1 would alias 2^64 - 1, and 1.5 would run as seed 1.
+        message = r"seed must lie in \[0, 2\^64\)"
+        with pytest.raises(DomainError, match=message):
+            derive_seed(seed, 0)
+        with pytest.raises(DomainError, match=message):
+            models.derive_seeds(seed, [0, 1])
+        with pytest.raises(DomainError, match=message):
+            models.derive_seeds(seed, [])
+
+    def test_numpy_integer_seed_accepted(self):
+        top = 2 ** 64 - 1
+        assert derive_seed(np.uint64(top), 3) == derive_seed(top, 3)
+        assert models.derive_seeds(np.uint64(top), [3]).tolist() == [derive_seed(top, 3)]
 
     def test_derive_seed_rejects_indices_outside_32_bits(self):
         for replicate, attempt in ((-1, 0), (2 ** 32, 0), (0, -1), (0, 2 ** 32)):
@@ -412,8 +429,19 @@ class TestExpectYPrime:
     def test_truncated_route_matches_marginal_cdf(self, model):
         # E[1(Y' < c)] through the truncation boundary equals F_Y(c)
         for c in (-0.8, 0.2, 1.4):
-            v = expect_y_prime(model, lambda t: np.ones_like(t), upper=c)
+            v = truncating_expect(model, lambda t: np.ones_like(t), upper=c)
             assert v == pytest.approx(marginal_cdf_y(model, c), abs=1e-8)
+
+    @pytest.mark.parametrize("model", [
+        scenario("A"), scenario("B"), scenario("C"),
+        BivariateGaussian(0.7),
+        IndependentProduct(UniformLaw(-1, 1), NormalLaw()),
+    ])
+    def test_equals_the_untruncated_oracle(self, model):
+        h = lambda t: conditional_survival(model, t, 0.4) ** 2
+        for order in (32, 64):
+            assert expect_y_prime(model, h, order=order) == truncating_expect(
+                model, h, order=order)
 
     def test_moments_match_samples(self):
         m = scenario("B")
@@ -454,29 +482,30 @@ class TestJson:
 class TestExpectYPrimeNan:
     # A NaN bound or sharp level used to give a plausible number: 0.0 under
     # scenarios A and C, 0.9999999999999991 under the Gaussian and 1.0 under
-    # the independent product for a total-mass integrand.
+    # the independent product for a total-mass integrand. The bound and the
+    # sharp levels now exist only in the truncating oracle.
     MODELS = [scenario("A"), scenario("C"), BivariateGaussian(0.7),
               IndependentProduct(NormalLaw(), UniformLaw(-1.0, 2.0))]
 
     @pytest.mark.parametrize("model", MODELS)
     def test_nan_upper_rejected(self, model):
         with pytest.raises(DomainError):
-            expect_y_prime(model, lambda t: np.ones_like(t), upper=math.nan)
+            truncating_expect(model, lambda t: np.ones_like(t), upper=math.nan)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_nan_sharp_level_rejected(self, model):
         with pytest.raises(DomainError):
-            expect_y_prime(model, lambda t: np.ones_like(t), sharp_levels=(0.5, math.nan))
+            truncating_expect(model, lambda t: np.ones_like(t), sharp_levels=(0.5, math.nan))
         with pytest.raises(DomainError):
-            expect_y_prime(model, lambda t: np.ones_like(t), upper=0.3,
-                           sharp_levels=(math.nan,))
+            truncating_expect(model, lambda t: np.ones_like(t), upper=0.3,
+                              sharp_levels=(math.nan,))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_infinite_upper_truncates_nothing(self, model):
         h = lambda t: conditional_survival(model, t, 0.4)
-        assert expect_y_prime(model, h, upper=math.inf) == pytest.approx(
-            expect_y_prime(model, h), abs=1e-12)
-        assert expect_y_prime(model, h, upper=-math.inf) == 0.0
+        assert truncating_expect(model, h, upper=math.inf) == pytest.approx(
+            truncating_expect(model, h), abs=1e-12)
+        assert truncating_expect(model, h, upper=-math.inf) == 0.0
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)

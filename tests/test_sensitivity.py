@@ -376,6 +376,22 @@ class TestSeedDomain:
             assert v == sf("mean", ds, 0.5)
 
 
+class TestSeedKeyDomain:
+    """Seeds are checked where streams are keyed, in ``derive_seeds``, so a
+    non-integer seed cannot run as its integer part."""
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_esf_mc_rejects(self, seed):
+        with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\^64\)"):
+            esf_mc("mean", UnivariateNormal(0, 1), 10, 0.5, 4, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        top = 2 ** 64 - 1
+        mc = esf_mc("mean", UnivariateNormal(0, 1), 10, 0.5, 4, np.uint64(top))
+        assert mc.seed == top
+        assert mc == esf_mc("mean", UnivariateNormal(0, 1), 10, 0.5, 4, top)
+
+
 class TestConvergenceStudy:
     def test_mean_curve_flat_with_exact_target(self):
         curve = convergence_study("mean", UnivariateNormal(0.0, 1.0), 1.0,
