@@ -40,8 +40,18 @@ from .estimators import Dataset, FunctionalId, estimate
 DEFAULT_SEED = 0x5EED_AE5F
 _FMT = "{:.12g}"
 
-#: Most CSV rows that are turned into Python floats at once.
+#: Most CSV lines assembled in one byte buffer, and most distinct floats
+#: formatted into one list of strings, at once.
 _CHUNK_ROWS = 1024
+
+#: Most CSV rows whose distinct floats share one formatted vocabulary. It
+#: bounds the writer's memory whatever the row count; it is not a user option.
+#: A figure grid up to 181x181 fits in one block, so the symmetric duplicates
+#: of its surfaces, thousands of rows apart, are formatted once.
+_VOCAB_ROWS = 1 << 16
+
+#: Longest ``_FMT`` string of a float64: "-4.94065645841e-324".
+_CELL_BYTES = 19
 
 
 @dataclass(frozen=True)
@@ -143,12 +153,50 @@ def _functional_json(f: FunctionalId) -> dict:
     return out
 
 
+def _bits(column: np.ndarray) -> np.ndarray:
+    """A column's float64 values as their int64 bit patterns."""
+    return np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+
+
+def _vocabulary(bits: np.ndarray):
+    """Sorted distinct float64 bit patterns and their ``_FMT`` strings.
+
+    Patterns, not float values: equality would merge -0.0 with 0.0, which
+    print as "-0" and "0".
+    """
+    # Sorted and compared, not np.unique, which hashes int64 in numpy >= 2.3
+    # and then sorts, several times slower on these columns.
+    patterns = np.sort(bits)
+    patterns = patterns[np.r_[True, patterns[1:] != patterns[:-1]]]
+    text = np.empty(len(patterns), dtype=f"S{_CELL_BYTES}")
+    for start in range(0, len(patterns), _CHUNK_ROWS):
+        floats = patterns[start:start + _CHUNK_ROWS].view(np.float64).tolist()
+        text[start:start + _CHUNK_ROWS] = [_FMT.format(v) for v in floats]
+    return patterns, text
+
+
 def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
-    line = ",".join([_FMT] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            fh.writelines(line.format(*row) for row in rows[start:start + _CHUNK_ROWS].tolist())
+    """Rows of floats as ``_FMT`` cells under a header line.
+
+    Each distinct float of a column is formatted once per ``_VOCAB_ROWS``
+    block. The cells of a chunk's lines sit NUL-padded in a fixed-width byte
+    buffer between their separators, and dropping the NULs leaves the text.
+    """
+    ncols = len(header)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in range(0, len(rows), _VOCAB_ROWS):
+            part = rows[block:block + _VOCAB_ROWS]
+            vocab = [_vocabulary(_bits(part[:, j])) for j in range(ncols)]
+            for start in range(0, len(part), _CHUNK_ROWS):
+                chunk = part[start:start + _CHUNK_ROWS]
+                buf = np.zeros((len(chunk), ncols, _CELL_BYTES + 1), dtype=np.uint8)
+                for j, (patterns, text) in enumerate(vocab):
+                    cells = text[np.searchsorted(patterns, _bits(chunk[:, j]))]
+                    buf[:, j, :_CELL_BYTES] = cells.view(np.uint8).reshape(len(chunk), -1)
+                buf[:, :, _CELL_BYTES] = ord(",")
+                buf[:, -1, _CELL_BYTES] = ord("\n")
+                fh.write(buf[buf != 0].tobytes())
 
 
 def _say(args, message: str) -> None:
@@ -292,10 +340,7 @@ def _cmd_sfdist(args) -> dict:
     f = _parse_functional(args)
     values = sensitivity.sf_distribution(f, args.model, args.n, _point(args, f),
                                          args.replicates, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("sf\n")
-        for v in values:
-            fh.write(_FMT.format(v) + "\n")
+    _write_csv(args.out, ["sf"], values[:, None])
     _say(args, f"wrote {args.out}")
     return {"file": args.out, "replicates": int(values.size)}
 

@@ -554,11 +554,12 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
     """n i.i.d. draws from the model, a pure function of (model, n, seed).
 
     Draw order is fixed per variant (x stream first, then the y/noise
-    stream) so that sampled values are reproducible bit for bit.
+    stream) so that sampled values are reproducible bit for bit. The seed
+    must be an integer in [0, 2^64).
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    xs, ys = _draw(model, np.array([int(seed) & _MASK64], dtype=np.uint64), n, _philox_loop)
+    xs, ys = _draw(model, np.array([_stream_seed(seed)], dtype=np.uint64), n, _philox_loop)
     return Dataset(xs[0], None if ys is None else ys[0])
 
 

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +219,10 @@ def test_criterion_9_comparative_robustness_at_discordant_points():
 
 def test_criterion_10_cli_determinism(tmp_path):
     threads_max = str(os.cpu_count() or 4)
-    env = dict(os.environ)
+    # The child does not see pytest's pythonpath setting: give it this src.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
     def run_cli(*args):
         proc = subprocess.run([sys.executable, "-m", "aesf.cli", *args],

@@ -4,12 +4,15 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aesf import (AesfRequest, BivariateGaussian, FunctionalId, aesf, derive_seed, esf_exact,
                   esf_mc, sample, scenario)
@@ -337,6 +340,73 @@ class TestConverge:
         assert min(result["tie_resamples_per_n"]) >= 1
 
 
+def _oracle_csv(path, header, rows):
+    """The per-row writer ``cli._write_csv`` replaced: one format call per row."""
+    line = ",".join(["{:.12g}"] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), cli._CHUNK_ROWS):
+            fh.writelines(line.format(*row) for row in rows[start:start + cli._CHUNK_ROWS].tolist())
+
+
+# Floats with edge-case .12g strings: signed zeros, non-finite values, the
+# 19-byte extremes, and values that round up a decade.
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            1.79769313486e308, -1.79769313486e308, 9.9999999999995, 9.9999999999995e-05,
+            -9.9999999999995, 1.0, 0.1]
+
+
+class TestCsvWriter:
+    @settings(max_examples=60, deadline=None)
+    @example(pool=_SPECIAL, planted=1.0, nrows=cli._CHUNK_ROWS + 1, ncols=3, layout="strided",
+             vocab_rows=cli._VOCAB_ROWS, seed=0)
+    @given(pool=st.lists(st.sampled_from(_SPECIAL) | st.floats(), min_size=1, max_size=12),
+           planted=st.sampled_from([0.0, 0.5, 1.0]),
+           nrows=st.sampled_from([0, 1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS + 1])
+           | st.integers(0, 40),
+           ncols=st.integers(1, 5),
+           layout=st.sampled_from(["C", "F", "strided"]),
+           vocab_rows=st.sampled_from([cli._VOCAB_ROWS, 3, cli._CHUNK_ROWS + 7]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bytes_match_the_per_row_writer(self, tmp_path_factory, pool, planted, nrows,
+                                            ncols, layout, vocab_rows, seed):
+        rng = np.random.default_rng(seed)
+        shape = (nrows, 2 * ncols if layout == "strided" else ncols)
+        fresh = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        values = np.where(rng.random(shape) < planted,
+                          np.array(pool)[rng.integers(len(pool), size=shape)], fresh)
+        rows = {"C": values, "F": np.asfortranarray(values), "strided": values[:, ::2]}[layout]
+        header = [f"c{j}" for j in range(ncols)]
+        out = tmp_path_factory.mktemp("csv")
+        _oracle_csv(out / "oracle.csv", header, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_VOCAB_ROWS", vocab_rows)
+            cli._write_csv(out / "new.csv", header, rows)
+        assert (out / "new.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, files", [
+        (("aesf-grid", "--figure", "3", "--nx", "41", "--ny", "41"), 1),
+        (("aesf-grid", "--figure", "4", "--nx", "11", "--ny", "11"), 3),
+        (("sfdist", "--model", GAUSS_JSON, "--functional", "kendall", "--n", "30",
+          "--x", "0.1", "--y", "0.2", "--replicates", "2000"), 1),
+    ])
+    def test_commands_match_the_per_row_writer(self, capsys, tmp_path, monkeypatch, args,
+                                               files):
+        written = []
+        write = cli._write_csv
+
+        def write_both(path, header, rows):
+            _oracle_csv(path + ".oracle", header, rows)
+            write(path, header, rows)
+            written.append(Path(path))
+
+        monkeypatch.setattr(cli, "_write_csv", write_both)
+        code, _, _ = run(capsys, *args, "--out", str(tmp_path / "out.csv"))
+        assert code == 0 and len(written) == files
+        for path in written:
+            assert path.read_bytes() == Path(str(path) + ".oracle").read_bytes()
+
+
 class TestSfdist:
     def test_zeros_below_theta(self, capsys, tmp_path):
         out_csv = tmp_path / "dist.csv"
@@ -353,9 +423,13 @@ class TestSfdist:
 def test_console_entry_point_subprocess(tmp_path):
     p = tmp_path / "tri.csv"
     p.write_text(TRI)
+    # The child does not see pytest's pythonpath setting: give it this src.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "aesf.cli", "estimate", str(p),
                            "--functional", "kendall"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.3333333333"
 
