@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -135,7 +136,9 @@ class UniformLaw:
 
     def from_bits(self, k: np.ndarray) -> np.ndarray:
         # k / 2^53 is the value of Generator.random() on the same raw word.
-        return self.a + (self.b - self.a) * (k * _UNIT)
+        # It is +0.0 or more, so on [0, 1] the affine map is the identity.
+        u = k * _UNIT
+        return u if (self.a, self.b) == (0.0, 1.0) else self.a + (self.b - self.a) * u
 
 
 Law = Union[NormalLaw, UniformLaw]
@@ -464,63 +467,102 @@ def derive_seeds(seed: int, replicates) -> np.ndarray:
     return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
 
 
-# Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11),
+# as (2, 1, 1) columns: row 0 acts on the words x0 and k0, row 1 on x2 and k1.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
-def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of m * b, the high word from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
-    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
-    lo_lo, hi_lo, lo_hi = m_lo * b_lo, m_hi * b_lo, m_lo * b_hi
-    carry = ((lo_lo >> np.uint64(32)) + (hi_lo & np.uint64(_MASK32))
-             + (lo_hi & np.uint64(_MASK32))) >> np.uint64(32)
-    high = m_hi * b_hi + (hi_lo >> np.uint64(32)) + (lo_hi >> np.uint64(32)) + carry
-    return high, np.uint64(m) * b
+def _mulhilo(m, b, hi=None, lo=None, t=None, u=None):
+    """High and low 64-bit words of m * b, in 15 array passes, written into
+    ``hi`` and ``lo`` with ``t`` and ``u`` as scratch (each made if None).
+
+    With m = m_hi 2^32 + m_lo and b alike, q = m_hi b_lo + (m_lo b_lo >> 32)
+    and r = m_lo b_hi + (q & (2^32 - 1)) are below 2^64, and the high word
+    is m_hi b_hi + (q >> 32) + (r >> 32).
+    """
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    t = np.bitwise_and(b, _LOW32, out=t)
+    u = np.multiply(m_lo, t, out=u)
+    np.right_shift(u, _SHIFT32, out=u)
+    np.multiply(m_hi, t, out=t)
+    np.add(t, u, out=t)                          # q
+    np.right_shift(b, _SHIFT32, out=u)
+    hi = np.multiply(m_hi, u, out=hi)
+    np.multiply(m_lo, u, out=u)
+    lo = np.right_shift(t, _SHIFT32, out=lo)     # lo is scratch until the end
+    np.add(hi, lo, out=hi)
+    np.bitwise_and(t, _LOW32, out=t)
+    np.add(u, t, out=u)                          # r
+    np.right_shift(u, _SHIFT32, out=u)
+    np.add(hi, u, out=hi)
+    return hi, np.multiply(m, b, out=lo)
 
 
 def _philox_raw(keys, count: int) -> np.ndarray:
     """The first ``count`` words of ``np.random.Philox(key=k).random_raw()``
     for each k in ``keys``, as a (len(keys), count) uint64 array.
 
-    Philox4x64-10 with key (k, 0) encrypts the counters (c, 0, 0, 0) for
-    c = 1, 2, ...; block c gives the words 4(c - 1) .. 4c - 1.
+    Philox4x64-10 with key (k0, k1) = (k, 0) encrypts the counters
+    (c, 0, 0, 0) for c = 1, 2, ...; block c gives the words 4(c - 1) .. 4c - 1.
+    A round maps (x0, x1, x2, x3) to (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2),
+    hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)), and the key gains the Weyl increments
+    before rounds 2 .. 10. Round 1 multiplies the counter alone, and round 2
+    the key (x0 = k) and a word of the counter (x2), so only rounds 3 .. 10
+    run on (keys, blocks) arrays. These hold x0 and x2 as the rows of one
+    array and x1 and x3 of another, so that each pass serves both products.
     """
-    k0 = np.asarray(keys, dtype=np.uint64)[:, None]
-    k1 = 0
+    k = np.asarray(keys, dtype=np.uint64)
     blocks = -(-count // 4)
-    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for rnd in range(10):
-        if rnd:
-            k0 = k0 + np.uint64(_PHILOX_W[0])
-            k1 = (k1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
-    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
-    return words.reshape(len(k0), 4 * blocks)[:, :count]
+    (m0, m1), (w0, w1) = _PHILOX_M.ravel(), _PHILOX_W.ravel()
+    # Round 1 on (c, 0, 0, 0) with key (k, 0) gives (k, 0, hi_c, lo_c).
+    hi_c, lo_c = _mulhilo(m0, np.arange(1, blocks + 1, dtype=np.uint64))
+    # Round 2, key (k + W0, W1): M0 multiplies the keys, M1 the counter word.
+    hi_k, lo_k = _mulhilo(m0, k)
+    hi_cc, lo_cc = _mulhilo(m1, hi_c)
+    even, odd, spare, hi, t, u, key = np.empty((7, 2, len(k), blocks), dtype=np.uint64)
+    key[0], key[1] = (k + w0)[:, None], w1
+    np.bitwise_xor(hi_cc, key[0], out=even[0])
+    np.bitwise_xor((hi_k ^ w1)[:, None], lo_c, out=even[1])
+    odd[0], odd[1] = lo_cc, lo_k[:, None]
+    for _ in range(8):
+        key += _PHILOX_W
+        # The low words go in reversed, as the next round's (x1, x3).
+        _mulhilo(_PHILOX_M, even, hi, spare[::-1], t, u)
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even ^= key
+        odd, spare = spare, odd
+    words = np.empty((len(k), blocks, 2, 2), dtype=np.uint64)
+    words[..., 0], words[..., 1] = even.transpose(1, 2, 0), odd.transpose(1, 2, 0)
+    return words.reshape(len(k), 4 * blocks)[:, :count]
+
+
+#: The one compiled bit generator of ``_philox_loop``, whose state each key
+#: overwrites whole; the lock keeps a key's state and its words together.
+_BITGEN, _BITGEN_LOCK = np.random.Philox(0), threading.Lock()
 
 
 def _philox_loop(keys, count: int) -> np.ndarray:
     """``_philox_raw(keys, count)`` from numpy's compiled Philox, set to key
     (k, 0), counter 0 and an empty buffer per key: the state of Philox(key=k)
     without the OS-entropy SeedSequence that constructor builds and drops."""
-    bitgen = np.random.Philox(0)
-    zeros = np.zeros(4, dtype=np.uint64)
+    zeros, key = np.zeros(4, dtype=np.uint64), np.zeros(2, dtype=np.uint64)
+    # The setter copies the arrays, so one dict serves every key.
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     words = np.empty((len(keys), count), dtype=np.uint64)
-    for row, k in zip(words, np.asarray(keys, dtype=np.uint64).tolist()):
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zeros, "key": np.array([k, 0], dtype=np.uint64)},
-                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        row[:] = bitgen.random_raw(count)
+    with _BITGEN_LOCK:
+        for row, k in zip(words, np.asarray(keys, dtype=np.uint64).tolist()):
+            key[0] = k
+            _BITGEN.state = state
+            row[:] = _BITGEN.random_raw(count)
     return words
 
 
 #: Longest per-key stream that ``_raw_words`` draws with ``_philox_raw``, whose
 #: cost per key grows faster with the stream length than the compiled loop's.
-_KERNEL_MAX_WORDS = 64
+_KERNEL_MAX_WORDS = 72
 
 
 def _raw_words(keys: np.ndarray, count: int) -> np.ndarray:
@@ -532,7 +574,14 @@ def _from_bits(model: Model, bits: np.ndarray) -> tuple[np.ndarray, Optional[np.
     """Sample values from 53-bit integers ``bits`` of shape (streams, ..., n):
     stream 0 gives x (or the single variable), stream 1 y or the noise."""
     if hasattr(model, "law"):
-        return model.loc + model.scale * model.law.from_bits(bits[0]), None
+        # Skipping loc = 0 and scale = 1 leaves every bit: 1 * v is v, and
+        # 0 + v is v unless v is -0.0, which scale > 0 times a standard
+        # value never is (uniforms are k 2^-53 >= +0.0, and ndtri gives +0.0
+        # at 1/2, which (k + 1/2) 2^-53 rounds to at k = 2^52).
+        v = model.law.from_bits(bits[0])
+        if model.scale != 1.0:
+            v = model.scale * v
+        return (v if model.loc == 0.0 else model.loc + v), None
     if not is_bivariate(model):
         raise DomainError(f"not a model: {model!r}")
     xs = model.x_law.from_bits(bits[0])

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -238,6 +240,104 @@ class TestBatchedSampling:
                     assert ys[r - start].tobytes() == ds.ys.tobytes()
             seen += len(xs)
         assert seen == 40
+
+
+def _random_raw(key: int, count: int) -> list:
+    return np.random.Philox(key=key).random_raw(count).tolist()
+
+
+# Keys whose first Weyl increment, or any, wraps modulo 2^64.
+_WRAPPING_KEYS = [2 ** 64 - 0x9E3779B97F4A7C15, 2 ** 64 - 1]
+
+
+class TestPhiloxKernel:
+    """``_philox_raw`` and ``_philox_loop`` against numpy's ``random_raw``."""
+
+    @pytest.mark.parametrize("words", [models._philox_raw, models._philox_loop])
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_every_count_of_the_first_blocks(self, words, count):
+        keys = [0, 1, 2 ** 63, *_WRAPPING_KEYS, derive_seed(3, 0)]
+        raw = words(keys, count)
+        assert raw.dtype == np.uint64 and raw.shape == (len(keys), count)
+        assert raw.tolist() == [_random_raw(k, count) for k in keys]
+
+    @pytest.mark.parametrize("key", [0, 2 ** 63 + 5, *_WRAPPING_KEYS])
+    @pytest.mark.parametrize("count", [1, 4, 5, 50])
+    def test_one_key(self, key, count):
+        assert models._philox_raw([key], count).tolist() == [_random_raw(key, count)]
+        assert models._philox_raw(np.array([key], dtype=np.uint64), count).tolist() == [
+            _random_raw(key, count)]
+
+    def test_one_block_for_many_keys(self):
+        keys = models.derive_seeds(11, np.arange(500)).tolist() + _WRAPPING_KEYS
+        assert models._philox_raw(keys, 4).tolist() == [_random_raw(k, 4) for k in keys]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=20),
+           st.integers(1, 256))
+    def test_random_keys_and_counts(self, keys, count):
+        assert models._philox_raw(keys, count).tolist() == [_random_raw(k, count) for k in keys]
+
+    def test_compiled_loop_keeps_each_key_whole_across_threads(self):
+        # Every call shares one bit generator; concurrent callers must still
+        # each get their own keys' words.
+        keys = [[derive_seed(t, r) for r in range(40)] for t in range(4)]
+        got = [[] for _ in keys]
+
+        def run(i):
+            for _ in range(20):
+                got[i].append(models._philox_loop(keys[i], 37).tolist())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(keys))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[[_random_raw(k, 37) for k in ks]] * 20 for ks in keys]
+
+
+class TestIdentityAffine:
+    """``_from_bits`` skips loc = 0 and scale = 1, and ``UniformLaw(0, 1)``
+    its affine map, without changing a bit of any value."""
+
+    # The smallest, the largest and the middle 53-bit integers, and some others.
+    BITS = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1,
+                     123456789, 2 ** 40 + 7], dtype=np.int64)
+
+    def test_no_standard_value_is_negative_zero(self):
+        # (k + 1/2) 2^-53 rounds to exactly 1/2 at k = 2^52, where ndtri
+        # gives +0.0; uniforms k 2^-53 start at +0.0.
+        assert (2 ** 52 + 0.5) * 2.0 ** -53 == 0.5
+        normal = NormalLaw().from_bits(self.BITS)
+        uniform = UniformLaw(0.0, 1.0).from_bits(self.BITS)
+        assert normal[3] == 0.0 and not np.signbit(normal[3])
+        assert not np.signbit(uniform).any() and uniform[0] == 0.0
+        assert not np.signbit(normal[normal == 0.0]).any()
+
+    def test_unit_uniform_equals_the_affine_form(self):
+        u = UniformLaw(0.0, 1.0).from_bits(self.BITS)
+        assert u.tobytes() == (0.0 + 1.0 * (self.BITS * 2.0 ** -53)).tobytes()
+        assert UniformLaw(-0.0, 1.0).from_bits(self.BITS).tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("model", [
+        UnivariateNormal(0.0, 1.0), UnivariateNormal(-0.0, 1.0), UnivariateNormal(0.0, 2.5),
+        UnivariateNormal(1.5, 1.0), UnivariateNormal(-3.0, 0.25), UniformMax(1.0),
+        UniformMax(1.7), UniformMax(1e-300),
+    ])
+    def test_univariate_values_equal_loc_plus_scale_times_standard(self, model):
+        bits = np.stack([self.BITS, self.BITS[::-1]])[None]
+        xs, ys = models._from_bits(model, bits)
+        if isinstance(model, UniformMax):
+            standard = 0.0 + 1.0 * (bits[0] * 2.0 ** -53)
+        else:
+            standard = ndtri((bits[0] + 0.5) * 2.0 ** -53)
+        assert ys is None and xs.tobytes() == (model.loc + model.scale * standard).tobytes()
 
 
 class TestGaussianIsAdditiveNoise:
