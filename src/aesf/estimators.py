@@ -185,39 +185,43 @@ def _count_inversions(p: np.ndarray) -> np.ndarray:
     """Pairs i < j with p[r, i] > p[r, j], for each row r of a (rows, n)
     array whose rows are permutations of 0 .. n - 1.
 
-    Two values first differ in some bit b, the larger one holding a 1, so
-    each inversion is counted once: at level b, as a 1 before a 0 within a
-    group of equal ``v >> (b + 1)``. The levels run from the top bit down
-    and each stably partitions every group by bit b (a counting sort), so
-    the groups of the next level are contiguous again. The rows are laid out
-    as one sequence of r * 2^k + p, each padded with n .. 2^k - 1, which adds
-    no inversion; group q then starts at q * 2^(b + 1) and every earlier
-    group holds 2^b ones.
+    A bottom-up merge count (Knight 1966) whose levels do not depend on one
+    another. Each row is padded with n .. size - 1 to size = 2^k, which adds
+    no inversion. Blocks of 8 (or of size, if smaller) count their own pairs
+    by comparison: with position j of every block in row j of ``t``, the
+    pairs at offset d are ``t[:-d] > t[d:]``. Then every 2s-block, s = 8,
+    16, ... size / 2, counts the inversions between its halves. Its keys 2v,
+    plus 1 on the right half, are distinct, so any sort puts them in the one
+    order; the j-th smallest right key, at sorted position q_j, lies above
+    q_j - j left values, so with P = sum q_j the block holds
+    s^2 + s(s - 1)/2 - P cross inversions. Keys are int32 while they fit.
     """
     rows, n = p.shape
-    k = (n - 1).bit_length()
-    size = 1 << k
-    v = np.empty((rows, size), dtype=np.int64)
+    size = 1 << (n - 1).bit_length()
+    dtype = np.int32 if 2 * size <= 1 << 31 else np.int64
+    v = np.empty((rows, size), dtype=dtype)
     v[:, :n] = p
     v[:, n:] = np.arange(n, size)
-    v += (np.arange(rows, dtype=np.int64) << k)[:, None]
-    v = v.ravel()
-    pos = np.arange(v.size)
-    total = np.zeros(rows, dtype=np.int64)
-    for b in range(k - 1, -1, -1):
-        high = v >> b
-        bit = high & 1
-        ones = np.cumsum(bit)
-        earlier = (high >> 1) << b  # ones in the earlier groups
-        total += ((1 - bit) * (ones - earlier)).reshape(rows, size).sum(axis=1)
-        if b:
-            # A 0 moves back past the ones before it in its group; a 1 moves
-            # to its group's start, past the group's 2^b zeros and the ones
-            # before it.
-            to = pos - ones + bit * (2 * ones + (1 << b) - 1 - pos) + earlier
-            grouped = np.empty_like(v)
-            grouped[to] = v
-            v = grouped
+    b = min(8, size)
+    t = v.reshape(-1, b).T.copy()
+    pairs = np.empty((b * (b - 1) // 2, t.shape[1]), dtype=bool)
+    at = 0
+    for d in range(1, b):
+        np.greater(t[:-d], t[d:], out=pairs[at:at + b - d])
+        at += b - d
+    # A block has at most 28 pairs, so its count fits in a byte.
+    in_blocks = pairs.view(np.uint8).sum(axis=0, dtype=np.uint8)
+    total = in_blocks.reshape(rows, size // b).sum(axis=1, dtype=np.int64)
+    pos = np.arange(size, dtype=dtype)
+    v <<= 1
+    s = b
+    while s < size:
+        keys = v | (pos // s & 1)
+        keys.reshape(-1, 2 * s).sort(axis=1)
+        keys &= 1
+        tagged = (keys * (pos & (2 * s - 1))).sum(axis=1, dtype=np.int64)
+        total += size // (2 * s) * (s * s + s * (s - 1) // 2) - tagged
+        s *= 2
     return total
 
 

@@ -16,7 +16,8 @@ Randomness contract: ``sample(model, n, seed)`` is a pure function of its
 arguments. The seed keys a Philox4x64-10 generator whose raw 64-bit words,
 shifted right by 11, give 53-bit integers k, n for x and then n for y or the
 noise; each law maps them to values in one place (``from_bits``): uniforms
-are a + (b - a) k 2^-53, normals the inverse CDF at (k + 1/2) 2^-53. Streams
+are a + (b - a) k 2^-53, normals the inverse CDF at (k + 1/2) 2^-53, or at
+1 - 2^-53 for the top k = 2^53 - 1, where that rounds to 1. Streams
 are keyed, never chained. ``sample`` is the one-key case of the draw
 (``_draw``) that ``sample_batches`` makes for many replicate seeds at once,
 from numpy's compiled Philox or, for short streams, the kernel ``_philox_raw``.
@@ -64,6 +65,7 @@ __all__ = [
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _UNIT = 2.0 ** -53
+_BELOW_ONE = 1.0 - _UNIT
 _TWO_PI = 2.0 * math.pi
 
 #: Half-width, in units of the conditional noise scale, of the region around
@@ -101,8 +103,12 @@ class NormalLaw:
         return (0.0, 1.0)
 
     def from_bits(self, k: np.ndarray) -> np.ndarray:
-        # Inverse CDF on (k + 1/2) / 2^53 uniforms: strictly inside (0, 1).
-        return ndtri((k + 0.5) * _UNIT)
+        # Inverse CDF on (k + 1/2) / 2^53 uniforms, kept strictly inside
+        # (0, 1): (2^53 - 1) + 1/2 rounds to 2^53, so the top word alone
+        # takes the largest double below 1 in place of 1 (where ndtri is inf).
+        u = (k + 0.5) * _UNIT
+        np.minimum(u, _BELOW_ONE, out=u)
+        return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)

@@ -222,9 +222,16 @@ def _replicate_values(f: FunctionalId, model: Model, n: int, point,
     for start, xs, ys in sample_batches(model, n, seed, replicates):
         rows = slice(start, start + len(xs))
         if not f.is_bivariate:
-            # sf's arithmetic on every row: (n + 1) * (grown - base).
-            grown = np.concatenate((xs, np.full((len(xs), 1), point)), axis=1)
-            values[rows] = (n + 1) * (estimate_rows(f, grown) - estimate_rows(f, xs))
+            # sf's arithmetic on every row: (n + 1) * (grown - base). A
+            # maximum grows exactly to max(base, point); a mean of the grown
+            # row could round otherwise if its sum were grown from the row's.
+            base = estimate_rows(f, xs)
+            if f.tag == "uniform_max":
+                grown = np.maximum(base, point)
+            else:
+                grown = estimate_rows(
+                    f, np.concatenate((xs, np.full((len(xs), 1), point)), axis=1))
+            values[rows] = (n + 1) * (grown - base)
             continue
         values[rows], tied = _rank_sf_rows(f.tag, xs, ys, point)
         for r in np.flatnonzero(tied).tolist():

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from aesf import (
+    BivariateGaussian,
     Dataset,
     DomainError,
     FunctionalId,
@@ -19,6 +20,9 @@ from aesf import (
     sf,
     spearman_s,
 )
+from aesf.estimators import _count_inversions, y_ranks_in_x_order
+from aesf.models import sample_batches
+from bit_partition_inversions import count_inversions as count_by_bits
 
 THREE = Dataset(np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 3.0]))
 
@@ -206,6 +210,53 @@ class TestScalarRanking:
     def test_univariate_sample_rejected(self):
         with pytest.raises(DomainError, match="paired"):
             spearman_s(Dataset(np.array([1.0, 2.0, 3.0])))
+
+
+def _inversions_quadratic(p):
+    """Reference O(n^2) count of the pairs i < j with p[i] > p[j], row by row."""
+    return [int(np.count_nonzero(np.triu(row[:, None] > row[None, :], 1))) for row in p]
+
+
+# Around every power of two that pads the rows, and the sizes of the
+# benchmark's Kendall schedule.
+INVERSION_SIZES = (2, 3, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025, 1600)
+
+
+class TestInversionCount:
+    """The merge count over sorted tagged blocks against the bit-partition
+    count it replaced and a count of every pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from(INVERSION_SIZES + (1, 4, 5, 31, 33, 200)),
+           st.integers(0, 2 ** 32 - 1))
+    @example(40, 1600, 0)
+    @example(40, 1025, 1)
+    def test_random_permutations(self, rows, n, seed):
+        p = np.argsort(np.random.default_rng(seed).random((rows, n)), axis=1)
+        got = _count_inversions(p)
+        assert got.dtype == np.int64 and got.shape == (rows,)
+        assert got.tolist() == count_by_bits(p).tolist() == _inversions_quadratic(p)
+
+    @pytest.mark.parametrize("n", INVERSION_SIZES)
+    def test_identity_and_reversed(self, n):
+        identity = np.arange(n)[None]
+        assert _count_inversions(identity).tolist() == [0]
+        assert _count_inversions(identity[:, ::-1]).tolist() == [n * (n - 1) // 2]
+        both = np.concatenate((identity, identity[:, ::-1], identity))
+        assert _count_inversions(both).tolist() == [0, n * (n - 1) // 2, 0]
+
+    @pytest.mark.parametrize("n", [200, 400, 800, 1600])
+    def test_the_batches_of_the_kendall_schedule(self, n):
+        # the (rows, n) shapes sample_batches yields for 300 replicates, a
+        # short last batch at n = 200 included
+        shapes = set()
+        for _, xs, ys in sample_batches(BivariateGaussian(0.7), n, 0x5EED_AE5F, 300):
+            r, tied = y_ranks_in_x_order(xs, ys)
+            assert not tied.any()
+            shapes.add(r.shape)
+            assert _count_inversions(r).tolist() == count_by_bits(r).tolist()
+        rows = 16384 // (2 * n)
+        assert shapes == {(rows, n), (300 % rows, n)} - {(0, n)}
 
 
 @st.composite

@@ -336,8 +336,33 @@ class TestIdentityAffine:
         if isinstance(model, UniformMax):
             standard = 0.0 + 1.0 * (bits[0] * 2.0 ** -53)
         else:
-            standard = ndtri((bits[0] + 0.5) * 2.0 ** -53)
+            standard = ndtri(np.minimum((bits[0] + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53))
         assert ys is None and xs.tobytes() == (model.loc + model.scale * standard).tobytes()
+
+
+class TestTopNormalWord:
+    """The top 53-bit word maps to the largest double below 1, not to 1,
+    before the inverse normal CDF; every other word keeps its value."""
+
+    def test_top_word_is_finite_and_largest(self):
+        top, below = NormalLaw().from_bits(np.array([2 ** 53 - 1, 2 ** 53 - 2]))
+        assert (2 ** 53 - 1 + 0.5) * 2.0 ** -53 == 1.0  # what the clamp is for
+        assert top == ndtri(np.nextafter(1.0, 0.0)) and np.isfinite(top)
+        assert top > below
+
+    def test_only_the_top_word_changes(self):
+        bits = np.concatenate((TestIdentityAffine.BITS[TestIdentityAffine.BITS < 2 ** 53 - 1],
+                               np.random.default_rng(8).integers(0, 2 ** 53 - 1, 10 ** 5)))
+        assert (NormalLaw().from_bits(bits).tobytes()
+                == ndtri((bits + 0.5) * 2.0 ** -53).tobytes())
+
+    @pytest.mark.parametrize("model", [UnivariateNormal(0.3, 2.5), BivariateGaussian(0.7),
+                                       scenario("A")])
+    def test_models_draw_finite_values_from_the_top_word(self, model):
+        streams = 1 if isinstance(model, UnivariateNormal) else 2
+        bits = np.full((streams, 1, 3), 2 ** 53 - 1, dtype=np.int64)
+        xs, ys = models._from_bits(model, bits)
+        assert np.isfinite(xs).all() and (ys is None or np.isfinite(ys).all())
 
 
 class TestGaussianIsAdditiveNoise:

@@ -29,7 +29,8 @@ from aesf import (
     sf_kendall_incremental,
 )
 from aesf import models
-from aesf.estimators import as_functional, rank_sums, sum_of_ranks, y_ranks_in_x_order
+from aesf.estimators import (as_functional, estimate_rows, rank_sums, sum_of_ranks,
+                             y_ranks_in_x_order)
 from aesf.sensitivity import _grown_sums, _rank_sf_rows, _replicate_sf
 
 UNIV = Dataset(np.array([1.0, 2.0, 3.0]))
@@ -183,6 +184,27 @@ class TestSfDistribution:
         for r, v in enumerate(values):
             ds = sample(model, n, derive_seed(seed, r, 0))
             assert v + ds.xs.mean() == pytest.approx(x, abs=1e-12)
+
+
+class TestMaximumGrowth:
+    """``uniform_max`` grows each replicate's maximum to max(base, point)
+    in place of appending the point and taking the maximum again."""
+
+    @pytest.mark.parametrize("model", [UniformMax(1.7), UnivariateNormal(-0.4, 2.5)])
+    @pytest.mark.parametrize("n", [1, 7, 400, 10_000])
+    def test_equals_the_concatenation_route(self, model, n, monkeypatch):
+        f, replicates, seed = FunctionalId("uniform_max"), 30, 61
+        monkeypatch.setattr(models, "_CHUNK_WORDS", 4 * 400)  # several batches
+        batches = list(models.sample_batches(model, n, seed, replicates))
+        base = np.concatenate([xs.max(axis=1) for _, xs, _ in batches])
+        median = float(np.median(base))
+        for point in (-50.0, 0.0, 0.3, median, float(base.max()), 1.7, 50.0):
+            expected = np.concatenate([
+                (n + 1) * (estimate_rows(f, np.concatenate((xs, np.full((len(xs), 1), point)),
+                                                           axis=1)) - estimate_rows(f, xs))
+                for _, xs, _ in batches])
+            values = sf_distribution(f, model, n, point, replicates, seed)
+            assert values.tobytes() == expected.tobytes()
 
 
 def _reference(f, model, n, point, replicates, seed):
