@@ -28,6 +28,7 @@ __all__ = [
     "y_ranks_in_x_order",
     "spearman_s",
     "chatterjee_xi",
+    "dense_ranks",
 ]
 
 _UNIVARIATE_TAGS = frozenset({"mean", "variance", "uniform_max", "phi_linear"})
@@ -289,6 +290,28 @@ def rank_from_sum(tag: str, sums, n: int):
     if tag == "spearman":
         return 1.0 - 6.0 * sums / (n * (n - 1) * (n + 1))
     return 1.0 - 3.0 * sums / (n * n - 1)
+
+
+def dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D array in ascending order, and each
+    entry's index among them: ``np.unique(values, return_inverse=True)``.
+
+    One argsort gives both: an entry that differs from its sorted neighbour
+    starts a new distinct value, and the running count of starts is each
+    entry's index.
+    """
+    # Not np.unique, which hashes in numpy >= 2.3 and then sorts: slower on
+    # large arrays, and about 9 us against 7 us on one element.
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    ranks = np.cumsum(starts)
+    ranks -= 1
+    index = np.empty_like(ranks)
+    index[order] = ranks
+    return ordered[starts], index
 
 
 def _rank_estimate(tag: str, ds: Dataset) -> float:

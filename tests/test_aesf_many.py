@@ -183,6 +183,29 @@ class TestChunking:
         assert whole.tolist() == [aesf(AesfRequest(f, model, p)) for p in points]
 
 
+class TestCoordinateTerms:
+    """Terms of one coordinate run once per distinct coordinate of a request,
+    however many chunks its points take."""
+
+    def test_each_coordinate_reaches_t2_and_t3_once(self, monkeypatch):
+        model, order = scenario("C"), 64
+        points = _grid_points(-1.0, 1.0, -2.0, 2.0, n=12)
+        whole = aesf_many("chatterjee", model, points, order)
+        # The shared term also goes through t3, on its own rule: keep it cached.
+        closedform._chatterjee_shared_term(model, order)
+        seen = {}
+        for name in ("_level_square_means", "_survival_square_means"):
+            def counted(model, levels, order, _name=name, _term=getattr(closedform, name)):
+                seen.setdefault(_name, []).extend(np.ravel(levels).tolist())
+                return _term(model, levels, order)
+            monkeypatch.setattr(closedform, name, counted)
+        monkeypatch.setattr(closedform, "_CHUNK_POINTS", 13)
+        assert -(-len(points) // 13) == 12
+        assert np.array_equal(aesf_many("chatterjee", model, points, order), whole)
+        assert sorted(seen["_level_square_means"]) == np.unique(points[:, 1]).tolist()
+        assert sorted(seen["_survival_square_means"]) == np.unique(points[:, 0]).tolist()
+
+
 class TestValidation:
     def test_no_points_give_an_empty_array(self):
         for tag, model, empty in (("chatterjee", scenario("A"), np.empty((0, 2))),

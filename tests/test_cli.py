@@ -407,6 +407,28 @@ class TestCsvWriter:
             assert path.read_bytes() == Path(str(path) + ".oracle").read_bytes()
 
 
+    def test_benchmark_grid_matches_the_per_row_writer(self, capsys, tmp_path, monkeypatch):
+        # Figure 3 at 181 x 181: 32,761 rows in one vocabulary block, over
+        # 40,000 distinct floats, whose sorted order lies far from row
+        # order. The hypothesis cases stay below 1,100 rows.
+        calls = []
+        write = cli._write_csv
+
+        def record(path, header, rows):
+            calls.append((header, rows))
+            write(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", record)
+        out = tmp_path / "figure3.csv"
+        code, _, _ = run(capsys, "aesf-grid", "--figure", "3", "--nx", "181", "--ny", "181",
+                         "--out", str(out))
+        assert code == 0 and len(calls) == 1
+        header, rows = calls[0]
+        assert len(rows) == 181 * 181 <= cli._VOCAB_ROWS
+        assert sum(len(np.unique(rows[:, j].view(np.int64))) for j in range(5)) > 40_000
+        _oracle_csv(tmp_path / "oracle.csv", header, rows)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
 class TestSfdist:
     def test_zeros_below_theta(self, capsys, tmp_path):
         out_csv = tmp_path / "dist.csv"

@@ -20,7 +20,7 @@ from aesf import (
     sf,
     spearman_s,
 )
-from aesf.estimators import _count_inversions, y_ranks_in_x_order
+from aesf.estimators import _count_inversions, dense_ranks, y_ranks_in_x_order
 from aesf.models import sample_batches
 from bit_partition_inversions import count_inversions as count_by_bits
 
@@ -265,6 +265,23 @@ def _tie_free_pairs(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     return Dataset(rng.standard_normal(n), rng.standard_normal(n))
+
+
+class TestDenseRanks:
+    """``dense_ranks`` against ``np.unique(values, return_inverse=True)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3000), st.integers(1, 50), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_np_unique(self, n, pool, as_bits, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(pool)[rng.integers(pool, size=n)]
+        if as_bits:
+            values = values.view(np.int64)
+        distinct, index = dense_ranks(values)
+        expected, inverse = np.unique(values, return_inverse=True)
+        assert distinct.tobytes() == expected.tobytes()
+        assert index.dtype == np.intp and np.array_equal(index, inverse)
+        assert np.array_equal(distinct[index], values)
 
 
 class TestMonotoneInvariance:

@@ -118,15 +118,21 @@ class TestSampling:
             sample(object(), 3, 1)
 
 
+def _oracle_normal(k):
+    """The inverse normal CDF at (k + 1/2) 2^-53, or at 1 - 2^-53 where that
+    rounds to 1 (the top word k = 2^53 - 1)."""
+    return ndtri(np.minimum((k + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53))
+
+
 def _oracle_sample(model, n: int, seed: int):
     """``sample`` by the documented draw scheme: 53-bit integers k from
     numpy's Generator on the seed's Philox, x from the first n and y or the
-    noise from the next n; uniforms a + (b - a) k 2^-53, normals the inverse
-    CDF at (k + 1/2) 2^-53."""
+    noise from the next n; uniforms a + (b - a) k 2^-53, normals
+    ``_oracle_normal(k)``."""
     streams = 1 if isinstance(model, (UnivariateNormal, UniformMax)) else 2
     rng = np.random.Generator(np.random.Philox(key=seed))
     k = rng.integers(0, 2 ** 53, size=(streams, n))
-    normal = lambda k: ndtri((k + 0.5) * 2.0 ** -53)
+    normal = _oracle_normal
     uniform = lambda a, b, k: a + (b - a) * (k * 2.0 ** -53)
     from_law = lambda law, k: normal(k) if law == NormalLaw() else uniform(law.a, law.b, k)
     if isinstance(model, UnivariateNormal):
@@ -164,6 +170,12 @@ class TestSampleOracle:
         assert (ds.ys is None) == (ys is None)
         if ys is not None:
             assert ds.ys.tobytes() == ys.tobytes()
+
+    def test_oracle_normal_map_matches_from_bits(self):
+        k = np.array([0, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1])
+        expected = NormalLaw().from_bits(k)
+        assert np.isfinite(expected).all()
+        assert _oracle_normal(k).tobytes() == expected.tobytes()
 
 
 class TestBatchedSampling:
