@@ -31,10 +31,6 @@ from .models import (
     UnivariateNormal,
     Y_PRIME_HALF_WIDTH,
     conditional_survival,
-    expect_y_prime,
-    marginal_cdf_x,
-    marginal_cdf_y,
-    plain_law_rule,
     x_expectation_rule,
     x_expectations,
 )
@@ -155,8 +151,8 @@ def esf_exact(f, model: Model, point, n: int) -> float:
     f = as_functional(f)
     if f.tag not in ("mean", "variance", "uniform_max"):
         raise UnsupportedError(f"no exact finite-n ESF for functional {f.tag!r}")
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    if not hasattr(n, "__index__") or n < 1:
+        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
     x = _scalar_point(point)
     _require_supported(f, model)
     if f.tag == "mean":
@@ -240,19 +236,12 @@ def _aesf_spearman_gaussian(rho: float, x: np.ndarray, y: np.ndarray,
             - (18.0 / math.pi) * math.asin(0.5 * rho) - 9.0)
 
 
-def _aesf_spearman_independent(model: IndependentProduct, x: np.ndarray, y: np.ndarray,
-                               order: int) -> np.ndarray:
-    # E[F_X(X) 1(Y >= y)] factorizes as E[F_X(X)] P(Y >= y) under independence;
-    # the two mean ranks are evaluated by quadrature rather than assumed 1/2.
-    fx, fy = marginal_cdf_x(model, x), model.y_law.cdf(y)
-    xn, xw = plain_law_rule(model.x_law, order)
-    yn, yw = plain_law_rule(model.y_law, order)
-    mean_fx = float(xw @ model.x_law.cdf(xn))
-    mean_fy = float(yw @ model.y_law.cdf(yn))
-    return (12.0 * fx * fy
-            + 12.0 * mean_fx * (1.0 - fy)
-            + 12.0 * mean_fy * (1.0 - fx)
-            - 9.0)  # population Spearman correlation is 0 under independence
+def _aesf_spearman_independent(model: IndependentProduct, x: np.ndarray,
+                               y: np.ndarray) -> np.ndarray:
+    # Under independence both mean ranks E[F_X(X)] and E[F_Y(Y)] are 1/2 and
+    # the population Spearman correlation is 0 (Croux and Dehon 2010).
+    # + 0.0: a vanishing factor gives +0.0, never -0.0, which prints as "-0".
+    return 3.0 * (2.0 * model.x_law.cdf(x) - 1.0) * (2.0 * model.y_law.cdf(y) - 1.0) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +383,7 @@ def _aesf_chunk(f: FunctionalId, model: Model, points: np.ndarray, terms: list,
     if f.tag == "spearman":
         if isinstance(model, BivariateGaussian):
             return _aesf_spearman_gaussian(model.rho, x, y, terms)
-        return _aesf_spearman_independent(model, x, y, order)
+        return _aesf_spearman_independent(model, x, y)
 
     return _aesf_chatterjee(model, x, y, terms, order)
 
@@ -403,22 +392,6 @@ def aesf(request: AesfRequest, order: int = 64) -> float:
     """Asymptotic expected sensitivity at the request's evaluation point; the
     one-point case of ``aesf_many``."""
     return float(aesf_many(request.functional, request.model, [request.point], order)[0])
-
-
-@lru_cache(maxsize=128)
-def _xi_dss(model: Model, order: int) -> float:
-    """Rank-correlation limit as a ratio of variance integrals.
-
-    numerator:   E_{Y'}[ Var_X(P(Y > Y' | X)) ] = t1 - 1/3, as E_X P(Y > Y' | X)
-                 = 1 - F_Y(Y') is uniform for continuous Y (notes/decisions.md)
-    denominator: E_{Y'}[ F_Y(Y') (1 - F_Y(Y')) ], by quadrature (exactly 1/6)
-    """
-    def den(ts):
-        cdf = marginal_cdf_y(model, ts, order)
-        return cdf * (1.0 - cdf)
-
-    num = _chatterjee_shared_term(model, order) - 1.0 / 3.0
-    return num / expect_y_prime(model, den, order=order)
 
 
 def population_value(f, model: Model, order: int = 64) -> float:
@@ -436,6 +409,7 @@ def population_value(f, model: Model, order: int = 64) -> float:
     if f.tag == "spearman" and isinstance(model, BivariateGaussian):
         return (6.0 / math.pi) * math.asin(0.5 * model.rho)
     if f.tag == "chatterjee" and isinstance(model, (BivariateGaussian, AdditiveNoise)):
-        return _xi_dss(model, order)
+        # xi = (t1 - 1/3) / E[F_Y(Y) (1 - F_Y(Y))], and that mean is 1/6 for continuous Y.
+        return 6.0 * _chatterjee_shared_term(model, order) - 2.0
     raise UnsupportedError(
         f"no population value for {f.tag!r} under {type(model).__name__}")

@@ -655,6 +655,8 @@ def _require_bivariate(model: Model, what: str) -> None:
 def conditional_survival(model: Model, y, x):
     """P(Y > y | X = x); vectorized over either argument."""
     _require_bivariate(model, "conditional_survival")
+    if np.isnan(y).any() or np.isnan(x).any():
+        raise DomainError("conditional_survival is undefined at a NaN argument")
     if model.link is None:
         surv = 1.0 - model.y_law.cdf(y)
         return np.broadcast_to(surv, np.broadcast_shapes(np.shape(surv), np.shape(x)))
@@ -815,10 +817,10 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
 def marginal_cdf_y(model: Model, t, order: int = 64):
     """CDF of the y marginal, vectorized over ``t``.
 
-    For additive-noise models this is E_X[Phi((t - g(X)) / sigma)], by
-    Hermite quadrature for normal X and Legendre quadrature for uniform X;
-    when the noise scale is below 0.25 the x rule is refined around the
-    kernel's transition region so that tiny-noise models stay accurate.
+    For additive-noise models this is E_X[Phi((t - g(X)) / sigma)], each
+    level on its own x rule refined around the kernel's transition region
+    (``x_expectations``), so that a transition narrow next to the x support
+    is resolved whatever the noise scale.
     """
     _require_bivariate(model, "marginal_cdf_y")
     t = np.asarray(t, dtype=float)
@@ -827,17 +829,9 @@ def marginal_cdf_y(model: Model, t, order: int = 64):
     if model.y_law is not None:
         return model.y_law.cdf(t)
     levels = t.ravel()
-    if model.noise_sigma >= 0.25:
-        nodes, weights = plain_law_rule(model.x_law, order)
-        g = model.link(nodes)
-        # One plain rule (a single panel) serves every level.
-        cdf = np.concatenate([
-            ndtr((levels[i:i + _CHUNK_PANELS, None] - g) / model.noise_sigma) @ weights
-            for i in range(0, len(levels), _CHUNK_PANELS)])
-    else:
-        cdf = x_expectations(
-            model, lambda x, i: ndtr((levels[i] - model.link(x)) / model.noise_sigma),
-            levels, order=order)
+    cdf = x_expectations(
+        model, lambda x, i: ndtr((levels[i] - model.link(x)) / model.noise_sigma),
+        levels, order=order)
     return clamp_probability(cdf.reshape(t.shape))
 
 

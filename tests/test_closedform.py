@@ -76,6 +76,17 @@ class TestEsfExact:
         with pytest.raises(DomainError):
             esf_exact("variance", UnivariateNormal(0.0, 1.0), math.inf, 10)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3"])
+    def test_non_integer_sample_size_rejected(self, n):
+        with pytest.raises(DomainError):
+            esf_exact("variance", UnivariateNormal(0.0, 1.0), 2.0, n)
+        with pytest.raises(DomainError):
+            esf_exact("uniform_max", UniformMax(1.0), 0.9, n)
+
+    def test_numpy_integer_sample_size_accepted(self):
+        assert esf_exact("uniform_max", UniformMax(1.0), 0.9, np.int64(10)) == \
+            esf_exact("uniform_max", UniformMax(1.0), 0.9, 10)
+
 
 class TestNonFinitePoints:
     def test_scalar_nan_rejected(self):
@@ -339,7 +350,9 @@ class TestPinnedLevelIntegrals:
     # the population Kendall tau and the population Chatterjee xi.
     PINS = {
         "A": (0.3837752748016967, 0.4936333777867307, 0.30265164881017953),
-        "B": (0.4770000359019836, 8.988036009904832e-17, 0.8620002154161104),
+        # B's xi is 6 t1 - 2, not the loops' value, whose y marginal was
+        # 3.1e-6 off near t = 48.2.
+        "B": (0.4770000359019836, 8.988036009904832e-17, 0.8620002154119013),
         "C": (0.41030844173649916, -6.7166324585477e-17, 0.4618506504189945),
     }
 
@@ -403,6 +416,25 @@ class TestXiIdentity:
         assert abs(den - 1.0 / 6.0) <= 1e-12
         assert abs(xi - (6.0 * t1 - 2.0)) <= 1e-11
         assert xi == pytest.approx((t1 - 1.0 / 3.0) / den, rel=1e-15)
+
+
+class TestExactIdentities:
+    # E[F_Y(Y) (1 - F_Y(Y))] = 1/6 for continuous Y, and both mean ranks are
+    # 1/2 under independence, so neither constant is integrated.
+    @pytest.mark.parametrize("model", [scenario("A"), scenario("B"), scenario("C"), GAUSS])
+    def test_xi_is_six_t1_minus_two(self, model):
+        t1 = closedform._chatterjee_shared_term(model, 64)
+        assert population_value("chatterjee", model) == 6 * t1 - 2
+
+    @pytest.mark.parametrize("model", [INDEP, IndependentProduct(UniformLaw(0, 1), NormalLaw())])
+    def test_independent_spearman_is_the_product_form(self, model):
+        xs, ys = np.meshgrid(np.linspace(-3.0, 3.0, 25), np.linspace(-1.5, 2.5, 25))
+        points = np.column_stack((xs.ravel(), ys.ravel()))
+        u, v = model.x_law.cdf(points[:, 0]), model.y_law.cdf(points[:, 1])
+        values = closedform.aesf_many("spearman", model, points)
+        assert np.max(np.abs(values - 3.0 * (2 * u - 1) * (2 * v - 1))) <= 1e-15
+        # The grid crosses both medians, where the CSV must read "0", not "-0".
+        assert (values == 0.0).any() and not np.signbit(values[values == 0.0]).any()
 
 
 class TestQuadratureStability:

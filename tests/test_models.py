@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from aesf import (
     AdditiveNoise,
@@ -442,6 +443,17 @@ class TestConditionalSurvival:
         with pytest.raises(UnsupportedError):
             conditional_survival(UniformMax(1.0), 0.5, 0.5)
 
+    @pytest.mark.parametrize("model", [
+        scenario("B"),
+        BivariateGaussian(0.4),
+        IndependentProduct(NormalLaw(), UniformLaw(0.0, 2.0)),
+    ])
+    def test_nan_argument_rejected(self, model):
+        for y, x in ((math.nan, 0.3), (0.3, math.nan),
+                     (np.array([0.0, math.nan]), 0.3), (0.3, np.array([0.0, math.nan]))):
+            with pytest.raises(DomainError):
+                conditional_survival(model, y, x)
+
 
 class TestMarginals:
     def test_gaussian_median(self):
@@ -496,14 +508,54 @@ class TestMarginals:
     @pytest.mark.parametrize("model", [
         BivariateGaussian(0.4),
         IndependentProduct(NormalLaw(), UniformLaw(0.0, 2.0)),
-        scenario("A"),  # one plain x rule
-        AdditiveNoise(UniformLaw(0.0, 1.0), Link("linear", 1.0), 0.01),  # level-refined rules
+        scenario("A"),  # level-refined x rules
+        AdditiveNoise(UniformLaw(0.0, 1.0), Link("linear", 1.0), 0.01),  # the same, tiny noise
     ])
     def test_nan_level_rejected(self, model):
         with pytest.raises(DomainError):
             marginal_cdf_y(model, math.nan)
         with pytest.raises(DomainError):
             marginal_cdf_y(model, np.array([0.0, math.nan]))
+
+    @staticmethod
+    def _quad_cdf(model, t):
+        """F_Y(t) = E_X Phi((t - g(X)) / sigma) by adaptive quadrature over the
+        uniform x support, split where g(x) = t."""
+        a, b = model.x_law.support()
+        ends = model.link.preimage(t, t, a, b).ravel()
+        points = np.unique(ends[(ends > a) & (ends < b)])
+        value, _ = integrate.quad(lambda x: ndtr((t - model.link(x)) / model.noise_sigma),
+                                  a, b, points=points if len(points) else None,
+                                  epsabs=1e-14, epsrel=1e-13, limit=500)
+        return value / (b - a)
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("name", ["B", "C"])
+    def test_y_marginal_matches_adaptive_quadrature(self, name, order):
+        # B's kernel has a transition narrow next to its x support of width
+        # 20; a single plain rule misses it near t = 48.17.
+        model = scenario(name)
+        mean, sd = y_moments(model)
+        ts = np.append(np.linspace(mean - 5.0 * sd, mean + 5.0 * sd, 41), 48.17)
+        oracle = np.array([self._quad_cdf(model, t) for t in ts])
+        assert np.max(np.abs(marginal_cdf_y(model, ts, order) - oracle)) <= 1e-13
+
+    SWEEP_MODELS = {
+        "A": scenario("A"),
+        "B": scenario("B"),
+        "C": scenario("C"),
+        "sigma_0.001": AdditiveNoise(UniformLaw(0.0, 1.0), Link("linear", 1.0), 0.001),
+    }
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("name", list(SWEEP_MODELS))
+    def test_y_marginal_matches_order_256_refined_rules(self, name, order):
+        model = self.SWEEP_MODELS[name]
+        mean, sd = y_moments(model)
+        ts = np.linspace(mean - 5.0 * sd, mean + 5.0 * sd, 2001)
+        oracle = x_expectations(
+            model, lambda x, i: 1.0 - conditional_survival(model, ts[i], x), ts, order=256)
+        assert np.max(np.abs(marginal_cdf_y(model, ts, order) - oracle)) <= 1e-13
 
 
 class TestBatchedRules:
