@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .errors import DomainError, ParseError, UnsupportedError
 from .estimators import Dataset
 from .numerics import NORMAL_TAIL, _leggauss, clamp_probability, hermite_rule, normal_pdf
@@ -407,6 +407,18 @@ def _stream_seed(seed) -> int:
     return value
 
 
+def _count(value, what: str, least: int) -> int:
+    """A sample size or replicate count as an int of at least ``least``; a
+    float would reach numpy's shape arguments and raise a bare TypeError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 def derive_seed(seed: int, replicate: int, attempt: int = 0) -> int:
     """64-bit stream seed for one replicate, independent of all others.
 
@@ -612,8 +624,7 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
     stream) so that sampled values are reproducible bit for bit. The seed
     must be an integer in [0, 2^64).
     """
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = _count(n, "sample size", 1)
     xs, ys = _draw(model, np.array([_stream_seed(seed)], dtype=np.uint64), n, _philox_loop)
     return Dataset(xs[0], None if ys is None else ys[0])
 
@@ -631,8 +642,8 @@ def sample_batches(model: Model, n: int, seed: int, replicates: int):
     for univariate models). A batch draws at most ``_CHUNK_WORDS`` words,
     or one replicate's if that is more.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = _count(n, "sample size", 1)
+    replicates = _count(replicates, "replicate count", 0)
     rows = max(1, _CHUNK_WORDS // ((2 if is_bivariate(model) else 1) * n))
     # Seeds are derived for about _CHUNK_WORDS replicates at once (whole
     # batches), since a call costs the same for one replicate as for many.
@@ -726,8 +737,10 @@ def plain_law_rule(law: Law, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
 _WINDOW_FRACTIONS = np.array((1.0, 0.45, 0.15))
 
 #: Most quadrature panels that are evaluated at once for a batch of levels,
-#: which bounds memory (a few MB) whatever the number of levels.
-_CHUNK_PANELS = 1024
+#: which bounds memory (a few MB) whatever the number of levels. At 1024, a
+#: fresh process freed and faulted back the heap top between batches (1,271
+#: minor page faults per 11 x 11 Chatterjee grid under C, against 83 at 512).
+_CHUNK_PANELS = 512
 
 
 def _as_rows(values) -> np.ndarray:

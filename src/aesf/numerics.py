@@ -11,8 +11,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
+from ._special import ndtr, owens_t
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -35,7 +37,7 @@ CLAMP_TOL = 1e-9
 
 @lru_cache(maxsize=None)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -48,7 +50,7 @@ def hermite_rule(order: int = 64) -> tuple[np.ndarray, np.ndarray]:
     Returns read-only (nodes, weights); the weights sum to 1.
     """
     # Raw probabilists' weights sum to sqrt(2*pi).
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    nodes, weights = hermegauss(order)
     weights = weights / _SQRT_TWO_PI
     nodes.setflags(write=False)
     weights.setflags(write=False)

@@ -29,7 +29,7 @@ from . import closedform
 from .errors import AesfError, DomainError, TieError, UnsupportedError
 from .estimators import (Dataset, FunctionalId, _raise_ties, as_functional, estimate,
                          estimate_rows, rank_from_sum, sum_of_ranks, y_ranks_in_x_order)
-from .models import Model, derive_seed, is_bivariate, sample, sample_batches
+from .models import Model, _count, derive_seed, is_bivariate, sample, sample_batches
 
 __all__ = [
     "McEstimate",
@@ -213,10 +213,8 @@ def _replicate_sf(f: FunctionalId, model: Model, n: int, point, seed: int,
 def _replicate_values(f: FunctionalId, model: Model, n: int, point,
                       replicates: int, seed: int) -> tuple[np.ndarray, int]:
     """``_replicate_sf`` for r = 0 .. replicates - 1, computed in batches."""
-    if replicates < 2:
-        raise DomainError("need at least 2 replicates")
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
+    replicates = _count(replicates, "replicate count", 2)
+    n = _count(n, "sample size", 1)
     values = np.empty(replicates)
     resamples = 0
     for start, xs, ys in sample_batches(model, n, seed, replicates):
@@ -270,7 +268,7 @@ def convergence_study(f, model: Model, point, schedule: Sequence[int],
     """ESF along a strictly increasing n schedule, with the closed-form
     limit attached as target when one is available for (f, model)."""
     f = as_functional(f)
-    schedule = tuple(int(s) for s in schedule)
+    schedule = tuple(_count(s, "sample size", 1) for s in schedule)
     if len(schedule) < 3:
         raise DomainError("schedule needs at least 3 sample sizes")
     if list(schedule) != sorted(set(schedule)):

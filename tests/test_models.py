@@ -179,6 +179,27 @@ class TestSampleOracle:
         assert _oracle_normal(k).tobytes() == expected.tobytes()
 
 
+class TestCountDomain:
+    """A non-integer n or replicate count is a DomainError, not numpy's TypeError."""
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", 0])
+    def test_sample_rejects_non_integer_n(self, n):
+        with pytest.raises(DomainError, match="sample size"):
+            sample(UnivariateNormal(0, 1), n, 3)
+
+    @pytest.mark.parametrize("n, replicates", [(2.5, 4), (3, 4.5), (3, -1)])
+    def test_sample_batches_rejects_non_integer_counts(self, n, replicates):
+        with pytest.raises(DomainError):
+            next(models.sample_batches(UnivariateNormal(0, 1), n, 3, replicates))
+
+    def test_numpy_integers_accepted(self):
+        expected = sample(UnivariateNormal(0, 1), 3, 3).xs
+        assert sample(UnivariateNormal(0, 1), np.int64(3), 3).xs.tolist() == expected.tolist()
+        _, xs, _ = next(models.sample_batches(UnivariateNormal(0, 1), np.int32(3), 3,
+                                              np.int64(2)))
+        assert xs.shape == (2, 3)
+
+
 class TestBatchedSampling:
     """The batched draws reproduce numpy's SeedSequence, Philox and ``sample``."""
 

@@ -160,8 +160,22 @@ class TestEsfMc:
         with pytest.raises(DomainError):
             esf_mc("mean", UniformMax(1.0), 10, 0.5, 1, 1)
 
+    @pytest.mark.parametrize("n, replicates", [(2.5, 4), (3, 4.5), (3.0, 4), (3, "4")])
+    def test_non_integer_counts_rejected(self, n, replicates):
+        with pytest.raises(DomainError, match="must be an integer"):
+            esf_mc("mean", UnivariateNormal(0, 1), n, 0.5, replicates, 1)
+
+    def test_numpy_integer_counts_accepted(self):
+        mc = esf_mc("mean", UnivariateNormal(0, 1), np.int64(5), 0.5, np.int32(4), 1)
+        assert mc == esf_mc("mean", UnivariateNormal(0, 1), 5, 0.5, 4, 1)
+
 
 class TestSfDistribution:
+    @pytest.mark.parametrize("n, replicates", [(2.5, 4), (3, 4.5)])
+    def test_non_integer_counts_rejected(self, n, replicates):
+        with pytest.raises(DomainError, match="must be an integer"):
+            sf_distribution("mean", UnivariateNormal(0, 1), n, 0.5, replicates, 1)
+
     def test_uniform_max_point_below_theta_is_all_zero(self):
         values = sf_distribution("uniform_max", UniformMax(1.0), 10 ** 4, 0.5, 2000, 5)
         assert np.mean(values == 0.0) >= 0.999
@@ -444,3 +458,10 @@ class TestConvergenceStudy:
             convergence_study("mean", UnivariateNormal(0, 1), 0.0, [50, 100], 10, 1)
         with pytest.raises(DomainError):
             convergence_study("mean", UnivariateNormal(0, 1), 0.0, [50, 100, 100], 10, 1)
+
+    def test_non_integer_schedule_rejected(self):
+        # int() would have run 50.5 as 50.
+        with pytest.raises(DomainError, match="must be an integer"):
+            convergence_study("mean", UnivariateNormal(0, 1), 0.0, [20, 50.5, 100], 10, 1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            convergence_study("mean", UnivariateNormal(0, 1), 0.0, [20, 50, 100], 10.5, 1)
