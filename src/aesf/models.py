@@ -20,7 +20,9 @@ are a + (b - a) k 2^-53, normals the inverse CDF at (k + 1/2) 2^-53, or at
 1 - 2^-53 for the top k = 2^53 - 1, where that rounds to 1. Streams
 are keyed, never chained. ``sample`` is the one-key case of the draw
 (``_draw``) that ``sample_batches`` makes for many replicate seeds at once,
-from numpy's compiled Philox or, for short streams, the kernel ``_philox_raw``.
+from the kernel ``_philox_raw`` for short streams, else from numpy's compiled
+Philox, built on first use so that ``numpy.random`` loads only in a process
+that draws a long stream, calls ``sample`` or calls ``derive_seed``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ __all__ = [
 ]
 
 _MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
 _UNIT = 2.0 ** -53
 _BELOW_ONE = 1.0 - _UNIT
 _TWO_PI = 2.0 * math.pi
@@ -395,16 +396,17 @@ def model_from_json(obj) -> Model:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _stream_seed(seed) -> int:
-    """The seed as an int; streams are keyed by its 64 bits, so a wider,
-    negative or non-integer seed would alias another and is rejected."""
+def _key_word(value, what: str, bits: int) -> int:
+    """A seed (64 bits) or a replicate or attempt index (32 bits) as an int;
+    streams are keyed by those bits, so a wider, negative or non-integer
+    value (1.5, "3") would alias another stream and is rejected."""
     try:
-        value = operator.index(seed)
+        word = operator.index(value)
     except TypeError:
-        value = None
-    if value is None or not 0 <= value <= _MASK64:
-        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
-    return value
+        word = None
+    if word is None or not 0 <= word < 1 << bits:
+        raise DomainError(f"{what} must lie in [0, 2^{bits}), got {value!r}")
+    return word
 
 
 def _count(value, what: str, least: int) -> int:
@@ -425,14 +427,12 @@ def derive_seed(seed: int, replicate: int, attempt: int = 0) -> int:
     Hashing (seed, replicate, attempt) through SeedSequence keeps replicate
     streams uncoupled, so a Monte Carlo run can draw its replicates in any
     order or in batches and still aggregate deterministically. The replicate
-    and the attempt must lie in [0, 2^32), as in ``derive_seeds``; the seed
-    must be an integer in [0, 2^64).
+    and the attempt must be integers in [0, 2^32), as in ``derive_seeds``;
+    the seed an integer in [0, 2^64).
     """
-    seed = _stream_seed(seed)
-    if not (0 <= int(replicate) <= _MASK32 and 0 <= int(attempt) <= _MASK32):
-        raise DomainError("replicate and attempt must lie in [0, 2^32)")
-    ss = np.random.SeedSequence(entropy=[seed, int(replicate), int(attempt)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    entropy = [_key_word(seed, "seed", 64), _key_word(replicate, "replicate", 32),
+               _key_word(attempt, "attempt", 32)]
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
@@ -465,10 +465,10 @@ def derive_seeds(seed: int, replicates) -> np.ndarray:
     the seed's one or two little-endian 32-bit words, r and the attempt, so
     they never outnumber the pool and r must be below 2^32.
     """
-    seed = _stream_seed(seed)
-    r = np.asarray(replicates, dtype=np.int64)
-    if r.size and (r.min() < 0 or r.max() > _MASK32):
-        raise DomainError("replicate indices must lie in [0, 2^32)")
+    seed = _key_word(seed, "seed", 64)
+    r = np.asarray(replicates)
+    if r.size and (r.dtype.kind not in "iu" or r.min() < 0 or r.max() > _MASK32):
+        raise DomainError("replicate indices must be integers in [0, 2^32)")
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
     zeros = np.zeros(r.shape, dtype=np.uint32)
     entropy = [zeros + np.uint32(w) for w in words] + [r.astype(np.uint32), zeros]
@@ -557,20 +557,25 @@ def _philox_raw(keys, count: int) -> np.ndarray:
 
 
 #: The one compiled bit generator of ``_philox_loop``, whose state each key
-#: overwrites whole; the lock keeps a key's state and its words together.
-_BITGEN, _BITGEN_LOCK = np.random.Philox(0), threading.Lock()
+#: overwrites whole; the lock keeps a key's state and its words together. It
+#: is built on the first call, so only a process that draws through it
+#: loads ``numpy.random`` (notes/decisions.md).
+_BITGEN, _BITGEN_LOCK = None, threading.Lock()
 
 
 def _philox_loop(keys, count: int) -> np.ndarray:
     """``_philox_raw(keys, count)`` from numpy's compiled Philox, set to key
     (k, 0), counter 0 and an empty buffer per key: the state of Philox(key=k)
     without the OS-entropy SeedSequence that constructor builds and drops."""
+    global _BITGEN
     zeros, key = np.zeros(4, dtype=np.uint64), np.zeros(2, dtype=np.uint64)
     # The setter copies the arrays, so one dict serves every key.
     state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     words = np.empty((len(keys), count), dtype=np.uint64)
     with _BITGEN_LOCK:
+        if _BITGEN is None:
+            _BITGEN = np.random.Philox(0)
         for row, k in zip(words, np.asarray(keys, dtype=np.uint64).tolist()):
             key[0] = k
             _BITGEN.state = state
@@ -625,7 +630,8 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
     must be an integer in [0, 2^64).
     """
     n = _count(n, "sample size", 1)
-    xs, ys = _draw(model, np.array([_stream_seed(seed)], dtype=np.uint64), n, _philox_loop)
+    key = np.array([_key_word(seed, "seed", 64)], dtype=np.uint64)
+    xs, ys = _draw(model, key, n, _philox_loop)
     return Dataset(xs[0], None if ys is None else ys[0])
 
 

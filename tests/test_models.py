@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ class TestBatchedSampling:
         assert derive_seed(np.uint64(top), 3) == derive_seed(top, 3)
         assert models.derive_seeds(np.uint64(top), [3]).tolist() == [derive_seed(top, 3)]
 
+    @pytest.mark.parametrize("replicate, attempt", [(2.5, 0), ("3", 0), (2, 1.0), (2, "1")])
+    def test_derive_seed_rejects_non_integer_indices(self, replicate, attempt):
+        # 2.5 would run as replicate 2, and "3" as some stream of its own.
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\^32\)"):
+            derive_seed(1, replicate, attempt)
+        assert derive_seed(1, np.uint32(2), np.int8(1)) == derive_seed(1, 2, 1)
+
+    @pytest.mark.parametrize("replicates", [[1.5, 2.5], np.array([1.0]), ["1"]])
+    def test_derive_seeds_reject_non_integer_indices(self, replicates):
+        # [1.5, 2.5] would give the seeds of replicates 1 and 2.
+        message = r"replicate indices must be integers in \[0, 2\^32\)"
+        with pytest.raises(DomainError, match=message):
+            models.derive_seeds(1, replicates)
+        assert models.derive_seeds(1, np.array([1, 2], dtype=np.uint32)).tolist() == [
+            derive_seed(1, 1), derive_seed(1, 2)]
+
     def test_derive_seed_rejects_indices_outside_32_bits(self):
         for replicate, attempt in ((-1, 0), (2 ** 32, 0), (0, -1), (0, 2 ** 32)):
             with pytest.raises(DomainError):
@@ -334,6 +351,42 @@ class TestPhiloxKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [[[_random_raw(k, 37) for k in ks]] * 20 for ks in keys]
+
+    def test_first_calls_across_threads_build_one_generator(self, monkeypatch):
+        # The generator is built on the first call; callers racing to that
+        # call must build it once and each still get their own keys' words.
+        count = 3 * models._KERNEL_MAX_WORDS
+        keys = [[derive_seed(t, r) for r in range(5)] for t in range(8)]
+        expected = [[_random_raw(k, count) for k in ks] for ks in keys]
+        built, philox = [], np.random.Philox
+
+        def slow_philox(*args, **kwargs):
+            time.sleep(0.01)  # widens the window between the check and the set
+            built.append(philox(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(models, "_BITGEN", None)
+        monkeypatch.setattr(np.random, "Philox", slow_philox)
+        got = [None] * len(keys)
+        start = threading.Barrier(len(keys))
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = models._philox_loop(keys[i], count).tolist()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(keys))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+        assert len(built) == 1 and models._BITGEN is built[0]
 
 
 class TestIdentityAffine:

@@ -1,4 +1,5 @@
-"""The ufunc loader (``aesf._special``), each route in a fresh interpreter.
+"""The ufunc loader (``aesf._special``), each route in a fresh interpreter,
+and the modules that importing aesf and running its commands load.
 
 Which route this process took depends on which test module was collected
 first (some import ``scipy.special``, some only aesf), so every route runs
@@ -132,9 +133,32 @@ def test_concurrent_import_waits_for_the_window():
     """, SAME_OBJECTS)
 
 
+def test_cli_import_leaves_numpy_random_to_the_first_long_draw():
+    run_python("""
+        import sys
+        import aesf.cli
+        from aesf import UnivariateNormal, derive_seed, esf_mc, models, sample
+        assert "numpy.random" not in sys.modules
+        # 20-word streams come from the kernel, which needs no numpy.random.
+        esf_mc("variance", UnivariateNormal(0, 1), 20, 2.0, 50, 7)
+        assert "numpy.random" not in sys.modules and models._BITGEN is None
+        sample(UnivariateNormal(0, 1), 5, derive_seed(7, 0))
+        assert "numpy.random" in sys.modules
+        assert type(models._BITGEN) is sys.modules["numpy.random"].Philox
+    """)
+
+
 def test_commands_import_no_further_modules(tmp_path):
     # Lazily loaded modules (numpy.polynomial, say) would be paid for inside
-    # the first command instead of at import.
+    # the first command instead of at import. The exception is numpy.random,
+    # loaded by the first long-stream draw: converge's 80-word streams.
+    random_adds = run_python("""
+        import sys
+        import aesf.cli
+        before = set(sys.modules)
+        import numpy.random
+        print(sorted(set(sys.modules) - before))
+    """).strip()
     out = run_python(f"""
         import contextlib, io, sys
         from aesf.cli import main
@@ -162,4 +186,4 @@ def test_commands_import_no_further_modules(tmp_path):
             print(argv[0], sorted(set(sys.modules) - before))
     """)
     assert out.splitlines() == [
-        "aesf-grid []", "aesf-grid []", "esf []", "converge []", "sfdist []"]
+        "aesf-grid []", "aesf-grid []", "esf []", f"converge {random_adds}", "sfdist []"]
