@@ -52,7 +52,6 @@ from .sensitivity import (
     esf_mc,
     sf,
     sf_distribution,
-    sf_kendall_incremental,
 )
 
 __version__ = "0.1.0"

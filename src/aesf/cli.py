@@ -310,8 +310,6 @@ def _cmd_aesf_grid(args) -> dict:
     for f, model, grid, suffix in jobs:
         out = _with_suffix(args.out, suffix)
         if f is None:  # figure 3: both rank correlations plus |.| difference
-            if not closedform.is_supported("kendall", model):
-                raise UnsupportedError("figure 3 needs a Gaussian model")
             kend = _grid_values(FunctionalId("kendall"), model, grid)
             spear = _grid_values(FunctionalId("spearman"), model, grid)[:, 2:]
             rows = np.hstack((kend, spear, np.abs(kend[:, 2:]) - np.abs(spear)))

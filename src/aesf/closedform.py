@@ -30,6 +30,7 @@ from .models import (
     UniformMax,
     UnivariateNormal,
     Y_PRIME_HALF_WIDTH,
+    _count,
     conditional_survival,
     x_expectation_rule,
     x_expectations,
@@ -151,8 +152,7 @@ def esf_exact(f, model: Model, point, n: int) -> float:
     f = as_functional(f)
     if f.tag not in ("mean", "variance", "uniform_max"):
         raise UnsupportedError(f"no exact finite-n ESF for functional {f.tag!r}")
-    if not hasattr(n, "__index__") or n < 1:
-        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+    n = _count(n, "sample size", 1)
     x = _scalar_point(point)
     _require_supported(f, model)
     if f.tag == "mean":

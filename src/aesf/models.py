@@ -18,11 +18,14 @@ shifted right by 11, give 53-bit integers k, n for x and then n for y or the
 noise; each law maps them to values in one place (``from_bits``): uniforms
 are a + (b - a) k 2^-53, normals the inverse CDF at (k + 1/2) 2^-53, or at
 1 - 2^-53 for the top k = 2^53 - 1, where that rounds to 1. Streams
-are keyed, never chained. ``sample`` is the one-key case of the draw
-(``_draw``) that ``sample_batches`` makes for many replicate seeds at once,
-from the kernel ``_philox_raw`` for short streams, else from numpy's compiled
-Philox, built on first use so that ``numpy.random`` loads only in a process
-that draws a long stream, calls ``sample`` or calls ``derive_seed``.
+are keyed, never chained. A replicate's key is ``derive_seeds``' hash of
+(seed, replicate, attempt), computed for many replicates at once, and
+``derive_seed`` is its one-replicate case. ``sample`` is the one-key case of
+the draw (``_draw``) that ``sample_batches`` makes for many replicate keys at
+once, from the kernel ``_philox_raw`` for short streams, else from numpy's
+compiled Philox (``_philox_loop``). That is built on first use, so that
+``numpy.random`` loads only in a process that draws a long stream or calls
+``sample``.
 """
 
 from __future__ import annotations
@@ -424,18 +427,16 @@ def _count(value, what: str, least: int) -> int:
 def derive_seed(seed: int, replicate: int, attempt: int = 0) -> int:
     """64-bit stream seed for one replicate, independent of all others.
 
-    Hashing (seed, replicate, attempt) through SeedSequence keeps replicate
-    streams uncoupled, so a Monte Carlo run can draw its replicates in any
-    order or in batches and still aggregate deterministically. The replicate
-    and the attempt must be integers in [0, 2^32), as in ``derive_seeds``;
-    the seed an integer in [0, 2^64).
+    The one-replicate case of ``derive_seeds``. Hashing (seed, replicate,
+    attempt) keeps replicate streams uncoupled, so a Monte Carlo run can draw
+    its replicates in any order or in batches and still aggregate
+    deterministically. The replicate and the attempt must be integers in
+    [0, 2^32); the seed an integer in [0, 2^64).
     """
-    entropy = [_key_word(seed, "seed", 64), _key_word(replicate, "replicate", 32),
-               _key_word(attempt, "attempt", 32)]
-    return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
+    return int(derive_seeds(seed, [_key_word(replicate, "replicate", 32)], attempt)[0])
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+# The hash constants of numpy's seed sequence (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -443,7 +444,7 @@ _POOL_SIZE = 4
 
 
 def _hasher(init: int, mult: int):
-    """SeedSequence's ``hashmix`` on uint32 arrays: each call advances the
+    """The seed sequence's ``hashmix`` on uint32 arrays: each call advances the
     hash constant, which depends only on the number of calls so far."""
     const = init
 
@@ -457,23 +458,27 @@ def _hasher(init: int, mult: int):
     return hashmix
 
 
-def derive_seeds(seed: int, replicates) -> np.ndarray:
-    """``derive_seed(seed, r)`` (attempt 0) for every index r in ``replicates``.
+def derive_seeds(seed: int, replicates, attempt: int = 0) -> np.ndarray:
+    """The stream seed of every replicate index r in ``replicates`` at
+    ``attempt``: the first 64-bit state word of numpy's seed sequence on the
+    entropy [seed, r, attempt].
 
-    Runs SeedSequence's entropy mixing and ``generate_state(1, uint64)`` in
-    uint32 array arithmetic, one lane per replicate. The entropy words are
-    the seed's one or two little-endian 32-bit words, r and the attempt, so
-    they never outnumber the pool and r must be below 2^32.
+    Runs numpy's seed-sequence entropy mixing and state generation in uint32
+    array arithmetic, one lane per replicate. The entropy words are the
+    seed's one or two little-endian 32-bit words, r and the attempt, so they
+    never outnumber the pool and r and the attempt must be below 2^32.
     """
     seed = _key_word(seed, "seed", 64)
     r = np.asarray(replicates)
     if r.size and (r.dtype.kind not in "iu" or r.min() < 0 or r.max() > _MASK32):
         raise DomainError("replicate indices must be integers in [0, 2^32)")
+    attempt = _key_word(attempt, "attempt", 32)
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = words + [r, attempt]
     zeros = np.zeros(r.shape, dtype=np.uint32)
-    entropy = [zeros + np.uint32(w) for w in words] + [r.astype(np.uint32), zeros]
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    pool = [hashmix(zeros + np.uint32(entropy[i]) if i < len(entropy) else zeros)
+            for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -566,7 +571,7 @@ _BITGEN, _BITGEN_LOCK = None, threading.Lock()
 def _philox_loop(keys, count: int) -> np.ndarray:
     """``_philox_raw(keys, count)`` from numpy's compiled Philox, set to key
     (k, 0), counter 0 and an empty buffer per key: the state of Philox(key=k)
-    without the OS-entropy SeedSequence that constructor builds and drops."""
+    without the OS-entropy seed sequence that constructor builds and drops."""
     global _BITGEN
     zeros, key = np.zeros(4, dtype=np.uint64), np.zeros(2, dtype=np.uint64)
     # The setter copies the arrays, so one dict serves every key.

@@ -11,10 +11,11 @@ samples of many replicates as (rows, n) arrays, univariate functionals get
 their SFs along the rows from ``estimate_rows``, and rank functionals from
 exact integer sums along the rows (``_rank_sf_rows``): each sample is ranked
 once, and the grown sample's sum is updated from the sample's ranks, not
-ranked again. A replicate whose sample or insertion ties falls back to the
-per-replicate path (``sample`` on ``derive_seed(seed, r, attempt)``) from
-attempt 1 on. Every value is the float that the per-replicate loop over
-``_replicate_sf`` gives.
+ranked again. A replicate whose sample or insertion ties is drawn again
+from the stream of ``derive_seeds(seed, r, attempt)`` at attempt 1, 2, ...,
+with the batch's other tied replicates, until it does not tie. Every value
+is the float that ``sf`` gives on ``sample(model, n, derive_seed(seed, r,
+attempt))`` at the replicate's first attempt without a ``TieError``.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ import numpy as np
 
 from . import closedform
 from .errors import AesfError, DomainError, TieError, UnsupportedError
-from .estimators import (Dataset, FunctionalId, _raise_ties, as_functional, estimate,
-                         estimate_rows, rank_from_sum, sum_of_ranks, y_ranks_in_x_order)
-from .models import Model, _count, derive_seed, is_bivariate, sample, sample_batches
+from .estimators import (Dataset, FunctionalId, as_functional, estimate, estimate_rows,
+                         rank_from_sum, sum_of_ranks, y_ranks_in_x_order)
+from .models import (Model, _count, _draw, _raw_words, derive_seeds, is_bivariate,
+                     sample_batches)
 
 __all__ = [
     "McEstimate",
     "ConvergenceCurve",
     "sf",
-    "sf_kendall_incremental",
     "esf_mc",
     "convergence_study",
     "sf_distribution",
@@ -175,44 +176,16 @@ def _grown_sums(tag: str, xs: np.ndarray, ys: np.ndarray, r: np.ndarray,
             + (kx > 0) * np.abs(ky - left) + (kx < n) * np.abs(right - ky))
 
 
-def sf_kendall_incremental(ds: Dataset, point) -> float:
-    """Sensitivity of Kendall's correlation from one concordance sum.
-
-    The one-row case of the batched Monte Carlo replicates: the grown
-    sample's sum is updated by the n signs of the inserted point instead of
-    being counted again. It equals ``sf("kendall", ds, point)`` bit for bit;
-    tests enforce that.
-    """
-    f = FunctionalId("kendall")
-    point = _check_insertion(f, ds, point)
-    values, tied = _rank_sf_rows(f.tag, ds.xs[None], ds.ys[None], point)
-    if tied[0]:
-        _raise_ties(ds)
-    return float(values[0])
-
-
 def _check_model_functional(f: FunctionalId, model: Model) -> None:
     if f.is_bivariate != is_bivariate(model):
         raise DomainError(
             f"functional {f.tag!r} is incompatible with model {type(model).__name__}")
 
 
-def _replicate_sf(f: FunctionalId, model: Model, n: int, point, seed: int,
-                  r: int, first_attempt: int = 0) -> tuple[float, int]:
-    """SF of replicate r; resamples with a fresh derived stream on a float tie."""
-    for attempt in range(first_attempt, _MAX_TIE_RESAMPLES):
-        ds = sample(model, n, derive_seed(seed, r, attempt))
-        try:
-            return sf(f, ds, point), attempt
-        except TieError:
-            continue
-    raise AesfError(f"replicate {r} kept producing ties after "
-                    f"{_MAX_TIE_RESAMPLES} resamples")
-
-
 def _replicate_values(f: FunctionalId, model: Model, n: int, point,
                       replicates: int, seed: int) -> tuple[np.ndarray, int]:
-    """``_replicate_sf`` for r = 0 .. replicates - 1, computed in batches."""
+    """The SF of replicates r = 0 .. replicates - 1, computed in batches, and
+    the number of tie resamples."""
     replicates = _count(replicates, "replicate count", 2)
     n = _count(n, "sample size", 1)
     values = np.empty(replicates)
@@ -232,9 +205,17 @@ def _replicate_values(f: FunctionalId, model: Model, n: int, point,
             values[rows] = (n + 1) * (grown - base)
             continue
         values[rows], tied = _rank_sf_rows(f.tag, xs, ys, point)
-        for r in np.flatnonzero(tied).tolist():
-            values[start + r], attempt = _replicate_sf(f, model, n, point, seed, start + r, 1)
-            resamples += attempt
+        tied = start + np.flatnonzero(tied)
+        for attempt in range(1, _MAX_TIE_RESAMPLES):
+            if not tied.size:
+                break
+            resamples += tied.size
+            xs, ys = _draw(model, derive_seeds(seed, tied, attempt), n, _raw_words)
+            values[tied], still = _rank_sf_rows(f.tag, xs, ys, point)
+            tied = tied[still]
+        if tied.size:
+            raise AesfError(f"replicate {tied[0]} kept producing ties after "
+                            f"{_MAX_TIE_RESAMPLES} resamples")
     return values, resamples
 
 

@@ -207,10 +207,11 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1])
     def test_derive_seeds_match_seed_sequence(self, seed):
         replicates = np.r_[np.arange(300), 2 ** 31, 2 ** 32 - 1]
-        expected = [np.random.SeedSequence([seed, int(r), 0]).generate_state(1, np.uint64)[0]
-                    for r in replicates]
-        got = models.derive_seeds(seed, replicates)
-        assert got.dtype == np.uint64 and got.tolist() == [int(e) for e in expected]
+        for attempt in (0, 1, 2 ** 32 - 1):
+            expected = [np.random.SeedSequence([seed, int(r), attempt]).generate_state(
+                1, np.uint64)[0] for r in replicates]
+            got = models.derive_seeds(seed, replicates, attempt)
+            assert got.dtype == np.uint64 and got.tolist() == [int(e) for e in expected]
 
     def test_derive_seeds_reject_indices_outside_32_bits(self):
         for bad in (-1, 2 ** 32):

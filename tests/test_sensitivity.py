@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aesf import (
+    AesfError,
     BivariateGaussian,
     Dataset,
     DomainError,
@@ -26,12 +27,10 @@ from aesf import (
     scenario,
     sf,
     sf_distribution,
-    sf_kendall_incremental,
 )
 from aesf import models
-from aesf.estimators import (as_functional, estimate_rows, rank_sums, sum_of_ranks,
-                             y_ranks_in_x_order)
-from aesf.sensitivity import _grown_sums, _rank_sf_rows, _replicate_sf
+from aesf.estimators import estimate_rows, rank_sums, sum_of_ranks, y_ranks_in_x_order
+from aesf.sensitivity import _MAX_TIE_RESAMPLES, _grown_sums, _rank_sf_rows
 
 UNIV = Dataset(np.array([1.0, 2.0, 3.0]))
 
@@ -95,27 +94,9 @@ class TestSf:
     def test_non_finite_point_rejected(self):
         ds = Dataset(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0]))
         with pytest.raises(DomainError):
-            sf_kendall_incremental(ds, (math.inf, 0.0))
+            sf("kendall", ds, (math.inf, 0.0))
         with pytest.raises(DomainError):
             esf_mc("mean", UnivariateNormal(0.0, 1.0), 10, math.nan, 10, 1)
-
-
-class TestKendallIncremental:
-    def test_agrees_with_reevaluation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            n = int(rng.integers(2, 120))
-            ds = Dataset(rng.standard_normal(n), rng.standard_normal(n))
-            point = (float(rng.standard_normal()), float(rng.standard_normal()))
-            assert sf_kendall_incremental(ds, point) == sf("kendall", ds, point)
-
-    def test_signs_survive_underflow(self):
-        # (1e-200 - 0) * (-1e-200 - 0) underflows to -0.0, which a sign taken
-        # from the product reads as concordant; S_4 = 6 and the four signs
-        # sum to 2, so S_5 = 8
-        ds = Dataset(np.array([1e-200, 1.0, 2.0, -1.0]), np.array([-1e-200, 0.5, 3.0, -2.0]))
-        expected = 5 * (2.0 * 8 / 20 - 2.0 * 6 / 12)
-        assert sf_kendall_incremental(ds, (0.0, 0.0)) == sf("kendall", ds, (0.0, 0.0)) == expected
 
 
 class TestEsfMc:
@@ -222,12 +203,24 @@ class TestMaximumGrowth:
 
 
 def _reference(f, model, n, point, replicates, seed):
-    """esf_mc computed from the per-replicate loop over ``_replicate_sf``."""
-    results = [_replicate_sf(as_functional(f), model, n, point, seed, r)
-               for r in range(replicates)]
-    values = np.array([v for v, _ in results])
+    """esf_mc computed one replicate at a time through the public API: the
+    ``sf`` of each replicate's first attempt whose sample,
+    ``sample(model, n, derive_seed(seed, r, attempt))``, and insertion do
+    not tie."""
+    values, resamples = np.empty(replicates), 0
+    for r in range(replicates):
+        for attempt in range(_MAX_TIE_RESAMPLES):
+            try:
+                values[r] = sf(f, sample(model, n, derive_seed(seed, r, attempt)), point)
+                break
+            except TieError:
+                continue
+        else:
+            raise AesfError(f"replicate {r} kept producing ties after "
+                            f"{_MAX_TIE_RESAMPLES} resamples")
+        resamples += attempt
     std_error = float(np.std(values, ddof=1) / math.sqrt(replicates))
-    return values, float(np.mean(values)), std_error, sum(a for _, a in results)
+    return values, float(np.mean(values)), std_error, resamples
 
 
 def _assert_batched_equals_reference(f, model, n, point, replicates, seed):
@@ -307,6 +300,23 @@ class TestBatchedEngine:
         mc = _assert_batched_equals_reference(tag, m, 30, (x, 0.25), 40, 777)
         assert mc.tie_resamples >= 10
 
+    def test_ties_at_every_attempt_raise_as_in_the_reference(self, monkeypatch):
+        # Every sample repeats an x value, so no attempt of any replicate succeeds.
+        from_bits = models._from_bits
+
+        def tied(model, bits):
+            xs, ys = from_bits(model, bits)
+            xs[..., 7] = xs[..., 2]
+            return xs, ys
+
+        monkeypatch.setattr(models, "_from_bits", tied)
+        m = BivariateGaussian(0.5)
+        with pytest.raises(AesfError) as batched:
+            esf_mc("spearman", m, 30, (0.1, 0.2), 12, 777)
+        with pytest.raises(AesfError) as reference:
+            _reference("spearman", m, 30, (0.1, 0.2), 12, 777)
+        assert str(batched.value) == str(reference.value)
+
     @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
     def test_smallest_rank_sample(self, tag):
         m = BivariateGaussian(0.5)
@@ -316,17 +326,6 @@ class TestBatchedEngine:
         with pytest.raises(DomainError) as reference:
             _reference(tag, m, 1, (0.1, 0.2), 10, 5)
         assert str(batched.value) == str(reference.value)
-
-    def test_incremental_kendall_is_sf(self):
-        # sizes on both sides of powers of two, and magnitudes whose
-        # products underflow
-        rng = np.random.default_rng(21)
-        for _ in range(300):
-            n = int(rng.integers(2, 1100))
-            scale = 10.0 ** float(rng.choice([0, -160, -200]))
-            ds = Dataset(rng.standard_normal(n) * scale, rng.standard_normal(n) * scale)
-            point = (float(rng.standard_normal()) * scale, float(rng.standard_normal()) * scale)
-            assert sf_kendall_incremental(ds, point) == sf("kendall", ds, point)
 
 
 def _grown_by_reranking(tag, xs, ys, point):
@@ -371,7 +370,7 @@ class TestRankShift:
             assert tied.tolist() == expected_tied.tolist()
             assert grown[~tied].tolist() == expected[~tied].tolist()
 
-    @pytest.mark.parametrize("tag", ["spearman", "chatterjee"])
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
     def test_rank_shift_is_sf(self, tag):
         # sizes on both sides of powers of two, tiny magnitudes, and points
         # below, inside and above each axis

@@ -6,7 +6,9 @@ first (some import ``scipy.special``, some only aesf), so every route runs
 in a subprocess.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -137,10 +139,17 @@ def test_cli_import_leaves_numpy_random_to_the_first_long_draw():
     run_python("""
         import sys
         import aesf.cli
-        from aesf import UnivariateNormal, derive_seed, esf_mc, models, sample
+        from aesf import (BivariateGaussian, UnivariateNormal, derive_seed, esf_mc, models,
+                          sample)
         assert "numpy.random" not in sys.modules
         # 20-word streams come from the kernel, which needs no numpy.random.
         esf_mc("variance", UnivariateNormal(0, 1), 20, 2.0, 50, 7)
+        assert "numpy.random" not in sys.modules and models._BITGEN is None
+        # Nor do the redraws of tied replicates: x ties with replicate 0's
+        # first sample.
+        m = BivariateGaussian(0.5)
+        xs, _ = models._draw(m, models.derive_seeds(777, [0]), 30, models._philox_raw)
+        assert esf_mc("kendall", m, 30, (float(xs[0, 4]), 0.123), 50, 777).tie_resamples >= 1
         assert "numpy.random" not in sys.modules and models._BITGEN is None
         sample(UnivariateNormal(0, 1), 5, derive_seed(7, 0))
         assert "numpy.random" in sys.modules
@@ -187,3 +196,12 @@ def test_commands_import_no_further_modules(tmp_path):
     """)
     assert out.splitlines() == [
         "aesf-grid []", "aesf-grid []", "esf []", f"converge {random_adds}", "sfdist []"]
+
+
+def test_every_exported_name_resolves():
+    # A stale name in __all__ fails only an ``import *``.
+    import aesf
+    for info in pkgutil.iter_modules(aesf.__path__):
+        module = importlib.import_module(f"aesf.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
