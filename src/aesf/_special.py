@@ -1,4 +1,4 @@
-"""Phi, its inverse and Owen's T: scipy's ufuncs, loaded without ``scipy.special``.
+"""Phi and its inverse: scipy's ufuncs, loaded without ``scipy.special``.
 
 ``import scipy.special`` also imports scipy's array-API layer, about 0.2 s
 that aesf never uses. Unless ``scipy.special`` is loaded already, a bare
@@ -76,8 +76,8 @@ def _load_ufuncs():
 
 try:
     _source = _load_ufuncs()
-    ndtr, ndtri, owens_t = _source.ndtr, _source.ndtri, _source.owens_t
+    ndtr, ndtri = _source.ndtr, _source.ndtri
 except (ImportError, AttributeError):
-    from scipy.special import ndtr, ndtri, owens_t
+    from scipy.special import ndtr, ndtri
 
-__all__ = ["ndtr", "ndtri", "owens_t"]
+__all__ = ["ndtr", "ndtri"]

@@ -9,7 +9,7 @@ from scipy.stats import multivariate_normal
 
 from aesf import DomainError, NumericsError, UniformLaw, bvn_cdf, hermite_rule, normal_cdf
 from aesf.models import plain_law_rule
-from aesf.numerics import clamp_probability
+from aesf.numerics import _BVN_BLOCK, _LEGENDRE_HALVES, clamp_probability
 
 # Frozen before the build from a 40-digit erf evaluation (mpmath.ncdf).
 NORMAL_CDF_ORACLE = {
@@ -364,3 +364,83 @@ class TestBvnCdfArcsinRule:
         x, y = (a.ravel() for a in np.meshgrid(self.GRID, self.GRID))
         gap = np.abs(bvn_cdf(x, y, rho) - _bvn_cdf_arcsin_rule(x, y, rho, 2048))
         assert gap.max() <= 1e-13, (x[gap.argmax()], y[gap.argmax()])
+
+
+class TestGenzRules:
+    @pytest.mark.parametrize("order", sorted(_LEGENDRE_HALVES))
+    def test_halves_are_leggauss_doubles(self, order):
+        # The table holds the positive half; leggauss's rule is symmetric to the bit.
+        x, w = (np.array(v) for v in _LEGENDRE_HALVES[order])
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        assert np.concatenate((-x[::-1], x)).tolist() == nodes.tolist()
+        assert np.concatenate((w[::-1], w)).tolist() == weights.tolist()
+
+
+class TestBvnCdfMpmath:
+    """``bvn_cdf`` against the arcsine integral
+
+        Phi_rho(h, k) = Phi(h) Phi(k)
+            + (1/2pi) int_0^{arcsin rho} exp(-(h^2 - 2hk sin t + k^2) / (2 cos^2 t)) dt
+
+    at 30 digits (mpmath), split towards arcsin rho when |rho| >= 0.9, where
+    the integrand peaks at the end of the segment."""
+
+    TOL = 5e-16
+    # Every band with both signs, and each band edge from both sides.
+    RHOS = [0.1, 0.2999, 0.3, 0.5, 0.7499, 0.75, 0.9249, 0.925, 0.99, 0.9999]
+    POINTS = [(0.0, 1.3), (-2.2, 0.0), (0.7, 0.9), (-1.5, 2.5), (1.1, -0.6),
+              (2.9, 3.0), (8.0, -0.4), (-8.0, 1.0)]
+
+    @staticmethod
+    def _oracle(h, k, rho):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            h, k = mpmath.mpf(h), mpmath.mpf(k)
+            end = mpmath.asin(mpmath.mpf(rho))
+            cuts = [0, end] if abs(rho) < 0.9 else [
+                end * mpmath.mpf(f) for f in ("0", "0.9", "0.99", "0.999", "0.9999", "1")]
+            integrand = lambda t: mpmath.exp(
+                -(h * h - 2 * h * k * mpmath.sin(t) + k * k) / (2 * mpmath.cos(t) ** 2))
+            return mpmath.ncdf(h) * mpmath.ncdf(k) + mpmath.quad(integrand, cuts) / (2 * mpmath.pi)
+
+    def _gaps(self, hs, ks, rho):
+        values = bvn_cdf(np.array(hs), np.array(ks), rho)
+        return [abs(float(value - self._oracle(h, k, rho)))
+                for h, k, value in zip(hs, ks, values.tolist())]
+
+    @pytest.mark.parametrize("rho", [sign * r for r in RHOS for sign in (1.0, -1.0)])
+    def test_bands(self, rho):
+        hs, ks = zip(*self.POINTS)
+        gaps = self._gaps(hs, ks, rho)
+        assert max(gaps) <= self.TOL, self.POINTS[int(np.argmax(gaps))]
+
+    @pytest.mark.parametrize("rho", [0.5, math.sqrt(0.5)])
+    def test_diagonal_kernels(self, rho):
+        # Phi_2(a, a; 1/2) is the Chatterjee t1 and t3 kernel; 1/sqrt 2 is
+        # the correlation of the t4 kernel.
+        a = np.linspace(-8.0, 8.0, 17)
+        gaps = self._gaps(a, a, rho)
+        assert max(gaps) <= self.TOL, a[int(np.argmax(gaps))]
+
+
+class TestBvnCdfBlocks:
+    @pytest.mark.parametrize("rho", [0.2, -0.5, math.sqrt(0.5), 0.8, 0.95, -0.9999])
+    def test_long_array_equals_its_pieces(self, rho):
+        rng = np.random.default_rng(17)
+        x, y = rng.uniform(-4.0, 4.0, (2, 2 * _BVN_BLOCK + 124))
+        whole = bvn_cdf(x, y, rho)
+        pieces = [bvn_cdf(x[i:i + 1000], y[i:i + 1000], rho) for i in range(0, x.size, 1000)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+        assert np.array_equal(whole.reshape(2, -1), bvn_cdf(x.reshape(2, -1), y.reshape(2, -1), rho))
+        for i in (0, _BVN_BLOCK - 1, _BVN_BLOCK, x.size - 1):
+            assert whole[i] == bvn_cdf(x[i], y[i], rho)
+
+    @pytest.mark.parametrize("rho", [0.5, -0.6, 0.95, -0.99])
+    def test_far_arguments_saturate(self, rho):
+        big = 1e300
+        assert bvn_cdf(big, big, rho) == 1.0
+        assert bvn_cdf(-big, 0.3, rho) == 0.0
+        assert bvn_cdf(big, 0.3, rho) == bvn_cdf(40.0, 0.3, rho)
+        assert bvn_cdf(0.3, big, rho) == pytest.approx(normal_cdf(0.3), abs=1e-16)
+        assert np.array_equal(bvn_cdf(np.array([-big, 0.0, big]), -0.2, rho),
+                              [bvn_cdf(v, -0.2, rho) for v in (-40.0, 0.0, 40.0)])

@@ -24,7 +24,6 @@ SAME_OBJECTS = """
     import scipy.special
     from aesf import models, numerics
     assert scipy.special.ndtr is numerics.ndtr
-    assert scipy.special.owens_t is numerics.owens_t
     assert scipy.special.ndtri is models.ndtri
 """
 
@@ -57,7 +56,6 @@ def run_python(*blocks: str) -> str:
 
 def test_ufuncs_are_scipy_specials_objects():
     assert numerics.ndtr is scipy.special.ndtr
-    assert numerics.owens_t is scipy.special.owens_t
     assert models.ndtri is scipy.special.ndtri
 
 
