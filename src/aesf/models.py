@@ -731,7 +731,7 @@ def _panel_rules(law: Law, breakpoints: np.ndarray, order: int):
     t0, w0 = _leggauss(order)
     nodes = half * (t0 + 1.0) + p[:, None]
     weights = half * w0 * law.pdf(nodes)
-    counts = pieces.reshape(rules, -1).sum(axis=1) * order
+    counts = pieces.reshape(rules, edges.shape[1] - 1).sum(axis=1) * order
     return nodes.ravel(), weights.ravel(), counts
 
 
@@ -766,7 +766,7 @@ def _rule_breakpoints(model: Model, levels: np.ndarray, cuts, half_width: float)
         windows = _WINDOW_FRACTIONS * half_width * model.noise_sigma
         ends = model.link.preimage(levels[:, :, None] - windows,
                                    levels[:, :, None] + windows, *model.x_law.support())
-        parts.append(ends.reshape(len(levels), -1))
+        parts.append(ends.reshape(len(levels), math.prod(ends.shape[1:])))
     return np.concatenate(parts, axis=1) if parts else np.empty((len(levels), 0))
 
 
@@ -804,6 +804,16 @@ def x_expectation_rule(model: Model, levels=(), cuts=(), order: int = 64,
     return nodes, weights
 
 
+def _distinct_rules(levels: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): the first row of each group of rows whose levels and
+    cuts are equal bit for bit, and each row's group. Bits, not values, so
+    that -0.0 and 0.0 stay apart."""
+    key = _as_rows(levels) if cuts is None else np.column_stack((_as_rows(levels), _as_rows(cuts)))
+    _, first, group = np.unique(key.view(np.uint64), axis=0, return_index=True,
+                                return_inverse=True)
+    return first, group.ravel()
+
+
 def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
                    half_width: float = FEATURE_HALF_WIDTH) -> np.ndarray:
     """E_X[kernel] for each level, each on its own level-refined x rule.
@@ -813,12 +823,18 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
     rule it belongs to; it returns one value per node, or a stack of such
     rows. The last axis of the result indexes the rules. ``cuts`` (None or
     shape (T,)) splits rule i at ``cuts[i]`` as in ``x_expectation_rules``.
-    Rules are built in batches of at most ``_CHUNK_PANELS`` panels (one rule
-    per batch if a rule needs more); a rule's sum does not depend on the
-    batch it falls in.
+
+    The kernel must depend on a rule's index only through ``levels[i]`` and
+    ``cuts[i]``. Rows whose levels and cuts are equal bit for bit then have
+    the same rule and the same sum, so each distinct row is built and sent
+    to the kernel once, under the index of its first row, and its sum is
+    copied to the others. Rules are built in batches of at most
+    ``_CHUNK_PANELS`` panels (one rule per batch if a rule needs more); a
+    rule's sum does not depend on the batch it falls in.
     """
     _require_bivariate(model, "x_expectations")
     levels = np.asarray(levels, dtype=float)
+    cuts = None if cuts is None else np.asarray(cuts, dtype=float)
     law = model.x_law
     lo, hi = law.support()
     # Capping adds at most one panel per breakpoint interval beyond the
@@ -827,15 +843,16 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
                               half_width)
     panels = probe.shape[1] + 1 + math.ceil((hi - lo) / law.max_panel())
     batch = max(1, _CHUNK_PANELS // panels)
+    first, group = _distinct_rules(levels, cuts)
     sums = []
-    for start in range(0, len(levels), batch):
-        part = slice(start, start + batch)
+    # One pass even for no rows, so that an empty request gets the kernel's empty shape.
+    for start in range(0, max(len(first), 1), batch):
+        rules = first[start:start + batch]
         nodes, weights, counts = x_expectation_rules(
-            model, levels[part], None if cuts is None else cuts[part], order, half_width)
-        rows = np.repeat(np.arange(start, start + len(counts)), counts)
-        sums.append(np.add.reduceat(weights * kernel(nodes, rows),
+            model, levels[rules], None if cuts is None else cuts[rules], order, half_width)
+        sums.append(np.add.reduceat(weights * kernel(nodes, np.repeat(rules, counts)),
                                     np.cumsum(counts) - counts, axis=-1))
-    return np.concatenate(sums, axis=-1)
+    return np.concatenate(sums, axis=-1)[..., group]
 
 
 def marginal_cdf_y(model: Model, t, order: int = 64):

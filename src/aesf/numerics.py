@@ -97,7 +97,7 @@ def clamp_probability(p, tol: float = CLAMP_TOL):
     instead of being hidden.
     """
     if isinstance(p, np.ndarray):
-        lo, hi = float(p.min()), float(p.max())
+        lo, hi = float(p.min(initial=0.0)), float(p.max(initial=1.0))
         if 0.0 <= lo and hi <= 1.0:  # False on NaN
             return p
         for extreme in (lo, hi):

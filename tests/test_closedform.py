@@ -365,6 +365,50 @@ class TestPinnedLevelIntegrals:
         assert abs(population_value("chatterjee", model) - xi) <= 1e-12
 
 
+class TestPinnedRuleSums:
+    # t1, xi and tau to the last bit, as repr, at three orders: x rules that
+    # are shared by rows with equal levels and cuts are built once, and that
+    # must not move a single value.
+    T1_XI = {
+        "A": {32: ("0.38377527480169665", "0.3026516488101798"),
+              64: ("0.3837752748016967", "0.30265164881018025"),
+              128: ("0.38377527480169704", "0.30265164881018247")},
+        "B": {32: ("0.4770000359019835", "0.8620002154119009"),
+              64: ("0.47700003590198353", "0.8620002154119013"),
+              128: ("0.4770000359019837", "0.8620002154119022")},
+        "C": {32: ("0.41030844173649916", "0.4618506504189952"),
+              64: ("0.41030844173649916", "0.4618506504189952"),
+              128: ("0.4103084417364995", "0.461850650418997")},
+        "gaussian": {32: ("0.38377527480169665", "0.3026516488101798"),
+                     64: ("0.3837752748016967", "0.30265164881018025"),
+                     128: ("0.38377527480169704", "0.30265164881018247")},
+    }
+    TAU = {
+        "A": {32: "0.49363337778672967", 64: "0.49363337778673055", 128: "0.49363337778672817"},
+        "B": {32: "4.2500725161431774e-17", 64: "-4.0440741033709315e-17",
+              128: "1.3532198365334702e-16"},
+        "C": {32: "-1.734723475976807e-17", 64: "-6.5052130349130266e-18",
+              128: "-1.556846557053404e-18"},
+    }
+
+    @staticmethod
+    def _model(name):
+        return GAUSS if name == "gaussian" else scenario(name)
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("name", list(T1_XI))
+    def test_t1_and_xi(self, name, order):
+        model = self._model(name)
+        t1, xi = self.T1_XI[name][order]
+        assert repr(closedform._chatterjee_shared_term(model, order)) == t1
+        assert repr(population_value("chatterjee", model, order)) == xi
+
+    @pytest.mark.parametrize("order", [32, 64, 128])
+    @pytest.mark.parametrize("name", list(TAU))
+    def test_tau(self, name, order):
+        assert repr(population_value("kendall", scenario(name), order)) == self.TAU[name][order]
+
+
 class TestSharedTermOracle:
     # The shared Chatterjee term t1 = E_Y' E_X[P(Y > Y' | X)^2] as the triple
     # integral it is defined by: a level-refined x rule for each Y' node of

@@ -675,6 +675,98 @@ class TestBatchedRules:
             assert v == pytest.approx(weights @ conditional_survival(m, t, nodes), abs=1e-14)
 
 
+class TestDistinctRules:
+    """Rows of equal levels and cuts share one rule: their sums equal one-row
+    calls bit for bit, and the kernel sees each distinct row once."""
+
+    MODELS = [scenario("A"), scenario("B"), scenario("C"), BivariateGaussian(0.6)]
+
+    @staticmethod
+    def _kernel(levels, cuts=None, stack=False):
+        def kernel(x, i):
+            level = levels[i] if levels.ndim == 1 else levels[i, 0] - levels[i, 1]
+            value = ndtr(level - x)
+            if cuts is not None:
+                value = np.where(x < cuts[i], value, 1.0 - value)
+            return np.stack((value, value * x)) if stack else value
+        return kernel
+
+    def _one_row_calls(self, model, levels, cuts=None, stack=False):
+        return np.stack([
+            x_expectations(model, self._kernel(levels[j:j + 1],
+                                               None if cuts is None else cuts[j:j + 1], stack),
+                           levels[j:j + 1], None if cuts is None else cuts[j:j + 1])
+            for j in range(len(levels))], axis=-1)[..., 0, :]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_repeated_levels(self, model):
+        levels = np.array([0.4, -1.0, 0.4, 2.5, -1.0, 0.4, 0.0])
+        got = x_expectations(model, self._kernel(levels), levels)
+        assert np.array_equal(got, self._one_row_calls(model, levels))
+        assert got[0] == got[2] == got[5] and got[1] == got[4]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_repeated_rows_with_cuts_and_stacked_output(self, model):
+        levels = np.array([[0.4, 1.0], [0.4, 1.0], [0.4, -1.0], [0.4, 1.0], [-2.0, 0.5]])
+        cuts = np.array([0.3, 0.3, 0.3, -0.2, 0.3])
+        kernel = self._kernel(levels, cuts, stack=True)
+        got = x_expectations(model, kernel, levels, cuts)
+        assert got.shape == (2, len(levels))
+        assert np.array_equal(got, self._one_row_calls(model, levels, cuts, stack=True))
+        # Rows 0 and 1 are one rule; row 2 differs in a level, row 3 in its cut.
+        assert np.array_equal(got[:, 0], got[:, 1])
+
+    def test_chatterjee_links_repeat_levels(self):
+        # Under C, g(x) = cos(2 pi x) on the outer rule of t1 takes each value
+        # about twice: the shared term's case.
+        model = scenario("C")
+        nodes, _ = x_expectation_rule(model)
+        levels = model.link(nodes)
+        assert len(np.unique(levels)) < len(levels)
+        got = x_expectations(model, self._kernel(levels), levels)
+        assert np.array_equal(got, self._one_row_calls(model, levels))
+
+    def test_signed_zeros_stay_apart(self):
+        model = scenario("C")
+        levels = np.array([0.0, -0.0, 0.0, -0.0])
+        sign = lambda x, i: np.copysign(1.0, levels[i]) + 0.0 * x
+        assert x_expectations(model, sign, levels).tolist() == pytest.approx([1, -1, 1, -1])
+        cuts = np.array([-0.0, 0.0, 0.0, -0.0])
+        by_cut = lambda x, i: np.copysign(1.0, cuts[i]) + 0.0 * x
+        got = x_expectations(model, by_cut, np.zeros(4), cuts)
+        assert got.tolist() == pytest.approx([-1, 1, 1, -1])
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_kernel_sees_each_distinct_row_once(self, model):
+        levels = np.array([[1.0, 0.5], [1.0, 0.5], [-0.3, 0.5], [1.0, 0.5], [-0.3, 2.0]])
+        cuts = np.array([0.0, 0.0, 0.0, 0.0, -0.0])
+        seen = []
+
+        def kernel(x, i):
+            seen.append((x.size, i.copy()))
+            return self._kernel(levels, cuts)(x, i)
+
+        x_expectations(model, kernel, levels, cuts)
+        rows = np.concatenate([i for _, i in seen])
+        # Row 1 and 3 repeat row 0; row 4's cut is -0.0, a rule of its own.
+        assert sorted(np.unique(rows).tolist()) == [0, 2, 4]
+        nodes, _, counts = x_expectation_rules(model, levels[[0, 2, 4]], cuts[[0, 2, 4]])
+        assert sum(size for size, _ in seen) == rows.size == nodes.size == counts.sum()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_empty_requests_give_empty_arrays(self, model):
+        value = lambda x, i: x
+        stacked = lambda x, i: np.stack((x, x))
+        for got, shape in [
+            (x_expectations(model, value, []), (0,)),
+            (x_expectations(model, value, np.empty((0, 2)), cuts=[]), (0,)),
+            (x_expectations(model, stacked, np.empty(0)), (2, 0)),
+            (marginal_cdf_y(model, []), (0,)),
+            (marginal_cdf_y(model, np.empty((0, 3))), (0, 3)),
+        ]:
+            assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == shape
+
+
 class TestExpectYPrime:
     @pytest.mark.parametrize("model", [
         scenario("A"), scenario("B"), scenario("C"),

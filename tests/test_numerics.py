@@ -1,6 +1,7 @@
 """Special functions and quadrature rules."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ BVN_ORACLE = {
 }
 
 
+@lru_cache(maxsize=None)
+def _leggauss_rule(order):
+    """``leggauss(order)``, built once per order: at 2048 nodes it is an
+    eigenvalue problem of about a second."""
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _bvn_cdf_arcsin_rule(x, y, rho, order):
     """Reference Phi_rho(x, y) from the single-integral identity
 
@@ -55,7 +63,7 @@ def _bvn_cdf_arcsin_rule(x, y, rho, order):
     by Gauss-Legendre quadrature on the signed arcsin segment, each element's
     row summed on its own, in blocks of 256 elements to bound memory."""
     s = math.asin(rho)
-    t0, w0 = np.polynomial.legendre.leggauss(order)
+    t0, w0 = _leggauss_rule(order)
     t = 0.5 * s * (t0 + 1.0)
     w, sin_t, two_cos2_t = 0.5 * s * w0, np.sin(t), 2.0 * np.cos(t) ** 2
     xs, ys = np.ravel(x), np.ravel(y)
@@ -239,6 +247,11 @@ class TestClamp:
         with pytest.raises(NumericsError):
             clamp_probability(np.array([math.nan, 1.0 + 1e-12]))
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_passes_through(self, shape):
+        empty = np.empty(shape)
+        assert clamp_probability(empty) is empty
+
 
 class TestBvnCdfArrays:
     """An array call equals the scalar call, element by element and bit for
@@ -287,6 +300,15 @@ class TestBvnCdfArrays:
         values = bvn_cdf(xs, 0.25, 0.4)
         assert values.shape == (2, 3)
         assert values[1, 2] == bvn_cdf(xs[1, 2], 0.25, 0.4)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, -1.0, 0.2, -0.5, 0.8, 0.95, -0.9999])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_arrays_give_empty_arrays(self, rho, shape):
+        # One check for every band: the exact limits, each arcsine rule and
+        # the expansion about |rho| = 1.
+        values = bvn_cdf(np.empty(shape), np.empty(shape), rho)
+        assert values.dtype == float and values.shape == shape
+        assert bvn_cdf([], [], rho).shape == (0,)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_any_non_finite_element(self, bad):
