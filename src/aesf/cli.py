@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import shlex
@@ -40,8 +41,7 @@ from .estimators import Dataset, FunctionalId, dense_ranks, estimate
 DEFAULT_SEED = 0x5EED_AE5F
 _FMT = "%.12g"
 
-#: Most CSV lines assembled in one byte buffer, and most distinct floats
-#: formatted into one string, at once.
+#: Most CSV lines assembled in one byte buffer at once.
 _CHUNK_ROWS = 1024
 
 #: Most CSV rows whose distinct floats share one formatted vocabulary. It
@@ -52,6 +52,25 @@ _VOCAB_ROWS = 1 << 16
 
 #: Longest ``_FMT`` string of a float64: "-4.94065645841e-324".
 _CELL_BYTES = 19
+
+#: Most distinct floats formatted in one pass: the pass's temporaries, about
+#: two dozen arrays of this length, stay in the CPU cache, and the floats it
+#: leaves to CPython are formatted into one string.
+_FORMAT_SLICE = 4096
+
+#: A slice of fewer floats goes to CPython whole: one ``%`` call formats
+#: about 200 floats in the 50 us that a numpy pass costs at any size, and a
+#: process that writes only small files never builds the lookup tables.
+_FORMAT_MIN = 256
+
+#: A float whose value scaled to 12 integer digits lies within this margin
+#: of a half-integer goes to CPython, which breaks ties half to even. The
+#: scaling errs by at most 2^-14, so the margin leaves room to spare.
+_TIE_MARGIN = 2.0 ** -9
+
+#: A cell as little-endian words over its bytes 0-7, 8-15 and 16-19.
+_CELL_WORDS = np.dtype({"names": ["w0", "w1", "w2"], "formats": ["<u8", "<u8", "<u4"],
+                        "offsets": [0, 8, 16], "itemsize": _CELL_BYTES + 1})
 
 
 @dataclass(frozen=True)
@@ -165,18 +184,139 @@ def _vocabulary(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return patterns.view(np.float64), index
 
 
+def _byte_mask(count) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high words of a 128-bit mask over the first ``count``
+    bytes. numpy defines a shift by 64 bits or more as giving 0."""
+    bits = 8 * np.asarray(count, dtype=np.uint64)
+    one = np.uint64(1)
+    return (one << np.minimum(bits, 64)) - one, (one << np.maximum(bits, 64) - 64) - one
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of ``_positional_cells``, built on its first call.
+
+    ``digits[g]`` holds the four ASCII digits of g < 10^4 in a word, the
+    first digit in the lowest byte, and ``zeros[g]`` counts g's trailing
+    zeros (4 for 0). The other tables are indexed by the template
+    208 sign + 13 (x + 4) + n of a cell with decimal exponent x in
+    [-4, 11] and n in [0, 12] digits left once trailing zeros are dropped:
+    the masks of the digits that stay in place (``keep``) and of those that
+    move one byte up to make room for the point (``move``), the sign, "0.",
+    leading zeros and point (``prefix``), and the bit shift that puts the
+    digits behind the sign and leading zeros (``shift``).
+    """
+    chars = np.arange(10, dtype=np.uint64) + ord("0")
+    digits = (chars[:, None, None, None] | chars[:, None, None] << 8
+              | chars[:, None] << 16 | chars << 24).ravel()
+    zero = np.arange(10) == 0
+    zeros = (zero * (1 + zero[:, None] * (1 + zero[:, None, None]
+                                          * (1 + zero[:, None, None, None])))).ravel()
+    sign, x, n = np.ix_(np.arange(2, dtype=np.uint64), np.arange(-4, 12),
+                        np.arange(13, dtype=np.uint64))
+    small = x < 0  # "0." and -x - 1 zeros, then n digits
+    whole = np.where(small, 0, x + 1).astype(np.uint64)  # digits before the point
+    point = ~small & (n > whole)
+    keep = _byte_mask(np.where(small, n, whole))
+    move = [np.where(point, a & ~b, 0) for a, b in zip(_byte_mask(n + 1), _byte_mask(whole + 1))]
+    lead = sign + np.where(small, 1 - x, 0).astype(np.uint64)  # bytes before the digits
+    at = lead + whole  # the point's byte
+    dot = [np.where(point, a ^ b, 0) & ord(".") * 0x0101010101010101
+           for a, b in zip(_byte_mask(at + 1), _byte_mask(at))]
+    small_lead = int.from_bytes(b"0.000", "little") & _byte_mask(lead - sign)[0]
+    prefix = (sign * ord("-") | small_lead << 8 * sign | dot[0], dot[1])
+    table = lambda a: np.broadcast_to(a, (2, 16, 13)).ravel().astype(np.uint64)
+    return (digits, zeros, 10.0 ** np.arange(16), *map(table, (*keep, *move, *prefix, 8 * lead)))
+
+
+def _positional_cells(floats: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write the ``_FMT`` cell of each float whose text is positional, with
+    a decimal exponent in [-4, 11], into ``cells``; return the mask of the
+    floats written.
+
+    k = 11 - floor(log10|v|), clipped to [0, 15], scales |v| by an exact
+    power of ten. The product s lies below 2^40, so its one rounding leaves
+    it within 2^-14 of the exact scaled value. When 10^11 <= s <= 10^12 and
+    s lies farther than ``_TIE_MARGIN`` from a half-integer, rint(s) is the
+    12-digit integer that CPython's correctly rounded conversion gives, at
+    exponent 11 - k; s = 10^12 carries into the next decade. The text is
+    then built from lookups on uint64 words. Every other float (zero, inf,
+    NaN, exponent form, near ties) is left to the caller.
+    """
+    digits, zeros, pow10, keep_lo, keep_hi, move_lo, move_hi, prefix_lo, prefix_hi, shift = (
+        _format_tables())
+    a = np.abs(floats)
+    # Zero, inf and NaN give garbage here, which the tests on s reject.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (11.0 - np.floor(np.log10(a))).astype(np.intp)
+        np.clip(k, 0, 15, out=k)
+        s = pow10[k] * a
+        m = np.rint(s)
+        done = np.abs(s - m) < 0.5 - _TIE_MARGIN
+    done &= s >= 1e11
+    done &= s <= 1e12
+    done &= a < 999_999_999_999.5
+    # Rejected floats get a dummy value, so that every lookup stays in range.
+    m = np.where(done, m, 1e11)
+    carry = m == 1e12
+    m[carry] = 1e11
+    k -= carry
+    m = m.astype(np.int64)
+    g0 = m // 10 ** 8
+    m -= g0 * 10 ** 8
+    g1 = m // 10 ** 4
+    g2 = m - g1 * 10 ** 4
+    # The 12 digits as ASCII: bytes 0-7 in lo, 8-11 in hi.
+    lo = digits[g1] << 32
+    lo |= digits[g0]
+    hi = digits[g2]
+    trailing = zeros[g0] * (g1 == 0)
+    trailing += zeros[g1]
+    trailing *= g2 == 0
+    trailing += zeros[g2]
+    template = np.where(np.signbit(floats), 415, 207)  # 13 * 15 + 12, plus 208 if negative
+    template -= 13 * k
+    template -= trailing
+    # The digits that follow the point move up one byte.
+    moved_hi = hi << 8
+    moved_hi |= lo >> 56
+    moved_hi &= move_hi[template]
+    hi &= keep_hi[template]
+    hi |= moved_hi
+    moved_lo = lo << 8
+    moved_lo &= move_lo[template]
+    lo &= keep_lo[template]
+    lo |= moved_lo
+    # Then all of them move behind the sign, "0." and leading zeros.
+    bits = shift[template]
+    back = 64 - bits
+    words = cells.view(_CELL_WORDS)
+    words["w0"] = prefix_lo[template] | lo << bits
+    words["w1"] = prefix_hi[template] | hi << bits | lo >> back
+    words["w2"] = hi >> back
+    return done
+
+
 def _cells(columns: list[np.ndarray]) -> np.ndarray:
     """The floats of ``columns``, one column after the other, as fixed-width
     cells: each formatted with ``_FMT``, NUL-padded to ``_CELL_BYTES`` and
-    followed by "," or, in the last column, a newline."""
-    cells = np.empty(sum(map(len, columns)), dtype=f"S{_CELL_BYTES + 1}")
-    start = 0
-    for floats in columns:
-        for i in range(0, len(floats), _CHUNK_ROWS):
-            part = floats[i:i + _CHUNK_ROWS].tolist()
-            text = "\n".join([_FMT] * len(part)) % tuple(part)
-            cells[start:start + len(part)] = text.encode().split(b"\n")
-            start += len(part)
+    followed by "," or, in the last column, a newline.
+
+    Per slice of ``_FORMAT_SLICE`` floats, ``_positional_cells`` writes the
+    cells it can prove equal to CPython's, and one ``%`` call formats the
+    rest (the whole slice, below ``_FORMAT_MIN`` floats).
+    """
+    floats = np.concatenate(columns)
+    cells = np.empty(len(floats), dtype=f"S{_CELL_BYTES + 1}")
+    for start in range(0, len(floats), _FORMAT_SLICE):
+        part = floats[start:start + _FORMAT_SLICE]
+        done = (_positional_cells(part, cells[start:start + len(part)])
+                if len(part) >= _FORMAT_MIN else np.zeros(len(part), dtype=bool))
+        rest = start + np.flatnonzero(~done)
+        if len(rest):
+            values = floats[rest].tolist()
+            text = "\n".join([_FMT] * len(values)) % tuple(values)
+            cells[rest] = text.encode().split(b"\n")
     separators = cells.view(np.uint8).reshape(-1, _CELL_BYTES + 1)[:, _CELL_BYTES]
     separators[:] = ord(",")
     separators[len(cells) - len(columns[-1]):] = ord("\n")
@@ -326,7 +466,12 @@ def _cmd_aesf_grid(args) -> dict:
 
 def _cmd_converge(args) -> dict:
     f = _parse_functional(args)
-    schedule = [int(s) for s in args.schedule.split(",")]
+    schedule = []
+    for entry in args.schedule.split(","):
+        try:
+            schedule.append(int(entry))
+        except ValueError:
+            raise ParseError(f"--schedule entry {entry!r} is not an integer") from None
     curve = sensitivity.convergence_study(f, args.model, _point(args, f), schedule,
                                           args.replicates, args.seed)
     with open(args.out, "w", newline="") as fh:

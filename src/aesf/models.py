@@ -809,9 +809,16 @@ def _distinct_rules(levels: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
     cuts are equal bit for bit, and each row's group. Bits, not values, so
     that -0.0 and 0.0 stay apart."""
     key = _as_rows(levels) if cuts is None else np.column_stack((_as_rows(levels), _as_rows(cuts)))
-    _, first, group = np.unique(key.view(np.uint64), axis=0, return_index=True,
-                                return_inverse=True)
-    return first, group.ravel()
+    key = key.view(np.uint64)
+    # A stable sort on the columns, the first one primary: equal rows lie
+    # next to each other, each group led by its first row.
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (key[1:] != key[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
 
 
 def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,

@@ -321,6 +321,13 @@ class TestConverge:
             outs.append(out_csv.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("schedule, entry", [("20,abc,80", "'abc'"), ("20,,80", "''")])
+    def test_bad_schedule_entry_exit_2(self, capsys, tmp_path, schedule, entry):
+        code, _, err = run(capsys, "converge", "--model", NORMAL_JSON, "--functional", "mean",
+                           "--x", "1", "--schedule", schedule, "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert err.startswith("error: parse:") and "--schedule" in err and entry in err
+        assert "Traceback" not in err and not (tmp_path / "c.csv").exists()
 
     def test_json_reports_std_errors_and_tie_resamples(self, capsys, tmp_path):
         # the insertion x is a value replicate 0 samples at every n
@@ -353,7 +360,10 @@ def _oracle_csv(path, header, rows):
 # 19-byte extremes, and values that round up a decade.
 _SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
             1.79769313486e308, -1.79769313486e308, 9.9999999999995, 9.9999999999995e-05,
-            -9.9999999999995, 1.0, 0.1]
+            -9.9999999999995, 1.0, 0.1,
+            # the edges of the positional form, binary and decimal ties at 12 digits
+            999999999999.5, -999999999999.5, 999999999999.4999, 1e11, 1e12, 1e-4, 1e-5,
+            9.99999999999995e-5, 1234567890.125, 123456789012.5, 0.1234567890125]
 
 
 class TestCsvWriter:
@@ -428,6 +438,72 @@ class TestCsvWriter:
         assert sum(len(np.unique(rows[:, j].view(np.int64))) for j in range(5)) > 40_000
         _oracle_csv(tmp_path / "oracle.csv", header, rows)
         assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def _ulp_neighbours(values, ulps=8):
+    """Each value and its +-1 ... +-``ulps`` ulp neighbours."""
+    values = np.asarray(values, dtype=np.float64)
+    steps = np.arange(-ulps, ulps + 1)
+    return (values.view(np.int64)[:, None] + steps).ravel().view(np.float64)
+
+
+class TestPositionalCells:
+    """The numpy fast path of ``cli._cells`` against CPython's ``%``, cell
+    by cell, on floats chosen to break a second rounding path."""
+
+    @staticmethod
+    def _floats():
+        rng = np.random.default_rng(20240111)
+        decades = 10.0 ** np.arange(-6, 14)
+        parts = [
+            # random bit patterns, both signs, every exponent
+            rng.integers(0, 2 ** 64, 150_000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(150_000) * 10.0 ** rng.integers(-30, 31, 150_000),
+            rng.standard_normal(150_000) * 10.0 ** rng.integers(-5, 13, 150_000),
+            _ulp_neighbours(decades),
+            # decade carries: 12 nines and a 5 round up to the next power of ten
+            _ulp_neighbours(9.9999999999995 * decades),
+            _ulp_neighbours([999999999999.5, 99999999999.95, 9.99999999999995e-5]),
+            # exact binary ties at the 12th digit, and decimal ones, whose
+            # scaled product may round onto the half-integer
+            np.array([1234567890.125]),
+            rng.integers(10 ** 11, 10 ** 12, 100_000) + 0.5,
+            np.array([10.0 ** 11 + 0.5, 10.0 ** 12 - 0.5]),
+            (rng.integers(10 ** 11, 10 ** 12, 100_000) + 0.5)
+            / 10.0 ** rng.integers(1, 16, 100_000),
+            # subnormals, signed zeros, infinities and NaN payloads
+            rng.integers(1, 2 ** 52, 1_000, dtype=np.uint64).view(np.float64),
+            np.array([0.0, math.inf, 5e-324, 2.2250738585072014e-308]),
+            (rng.integers(1, 2 ** 52, 1_000, dtype=np.uint64) | np.uint64(0x7FF << 52)).view(
+                np.float64),
+        ]
+        floats = np.concatenate(parts)
+        return np.concatenate((floats, -floats))
+
+    def test_cells_match_cpython_byte_for_byte(self):
+        floats = self._floats()
+        assert len(floats) >= 10 ** 6
+        got = cli._cells([floats]).view(np.uint8).reshape(-1, cli._CELL_BYTES + 1)
+        want = np.array([(cli._FMT % x).encode() for x in floats.tolist()],
+                        dtype=f"S{cli._CELL_BYTES}").view(np.uint8).reshape(-1, cli._CELL_BYTES)
+        bad = np.flatnonzero((got[:, :-1] != want).any(axis=1))
+        assert not bad.size, [(repr(floats[i]), got[i, :-1].tobytes(), want[i].tobytes())
+                              for i in bad[:5]]
+        assert (got[:, -1] == ord("\n")).all()
+
+    def test_fast_path_formats_almost_every_benchmark_float(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # A version that handed every float to CPython would pass the test
+        # above; figure 3 at 181 x 181 has 42,581 distinct floats.
+        calls = []
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: calls.append(rows))
+        code, _, _ = run(capsys, "aesf-grid", "--figure", "3", "--nx", "181", "--ny", "181",
+                         "--out", str(tmp_path / "figure3.csv"))
+        assert code == 0 and len(calls) == 1
+        floats = np.concatenate([cli._vocabulary(column)[0] for column in calls[0].T])
+        done = cli._positional_cells(floats, np.empty(len(floats), dtype="S20"))
+        assert len(floats) > 40_000 and done.mean() >= 0.99
+
 
 class TestSfdist:
     def test_zeros_below_theta(self, capsys, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from aesf import (
     AdditiveNoise,
@@ -218,6 +218,27 @@ class TestChatterjeeAesf:
             t4 = expect_y_prime(model, surv, upper=y, sharp_levels=(rho * x,))
             old = -12.0 * t1 + 6.0 * t2 - 6.0 * t3 + 12.0 * t4
             assert abs(v - old) <= 1e-12 * max(1.0, abs(old)), (x, y)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.3, 0.7, 0.95])
+    def test_gaussian_surface_vs_bivariate_normal_formula(self, rho):
+        # With Y' ~ N(0, 1) and s = sqrt(2 - rho^2), each term is one Phi_2
+        # (notes/decisions.md), here by Owen's T and Sheppard's arcsine, which
+        # share no rule with the code's quadrature or its Phi_2.
+        def phi2(h, k, r):  # Owen (1956), for nonzero h and k
+            scale = math.sqrt(1.0 - r * r)
+            return (0.5 * ndtr(h) + 0.5 * ndtr(k) - owens_t(h, (k - r * h) / (h * scale))
+                    - owens_t(k, (h - r * k) / (k * scale)) - np.where(h * k < 0, 0.5, 0.0))
+
+        x, y = (a.ravel() for a in np.meshgrid([-2.7, -1.3, -0.45, 0.2, 0.9, 2.1],
+                                               [-2.4, -1.1, 0.35, 1.6, 2.8], indexing="ij"))
+        s = math.sqrt(2.0 - rho * rho)
+        t1 = 0.25 + math.asin((1.0 + rho * rho) / 2.0) / (2.0 * math.pi)  # Phi_2(0, 0; .)
+        t2 = phi2(-y, -y, rho * rho)
+        t3 = phi2(rho * x / s, rho * x / s, 1.0 / (s * s))
+        t4 = phi2(rho * x / s, y, 1.0 / s)
+        want = -12.0 * t1 + 6.0 * t2 - 6.0 * t3 + 12.0 * t4
+        got = closedform.aesf_many("chatterjee", BivariateGaussian(rho), np.column_stack((x, y)))
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_noiseless_limit_is_rank_distance(self):
         # Y = X on U(0,1): the limit surface is -6|x - y|

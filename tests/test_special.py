@@ -196,6 +196,23 @@ def test_commands_import_no_further_modules(tmp_path):
         "aesf-grid []", "aesf-grid []", "esf []", f"converge {random_adds}", "sfdist []"]
 
 
+def test_csv_formatter_tables_built_on_first_use(tmp_path):
+    # Importing the CLI builds no lookup table of the CSV formatter, and nor
+    # does a file small enough for CPython alone; the first larger grid does.
+    out = run_python(f"""
+        import contextlib, io
+        import aesf.cli as cli
+
+        print(cli._format_tables.cache_info().currsize)
+        for n in (5, 21):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["aesf-grid", "--figure", "3", "--nx", str(n), "--ny", str(n),
+                                 "--out", r"{tmp_path / 'figure3.csv'}"]) == 0
+            print(cli._format_tables.cache_info().currsize)
+    """)
+    assert out.split() == ["0", "0", "1"]
+
+
 def test_every_exported_name_resolves():
     # A stale name in __all__ fails only an ``import *``.
     import aesf
