@@ -7,8 +7,8 @@ integral has a closed form; nothing here is stochastic, and unsupported
 (functional, model) pairs raise instead of silently approximating.
 
 ``aesf_many`` evaluates the AESF at many points at once and ``aesf`` is its
-one-point case. Terms that depend on one coordinate of the point only are
-computed once per distinct value of that coordinate in the request.
+one-point case. Each term is either elementwise over the points or one
+``x_expectations`` call over the whole request.
 """
 
 from __future__ import annotations
@@ -35,14 +35,10 @@ from .models import (
     x_expectation_rule,
     x_expectations,
 )
-from .numerics import bvn_cdf, hermite_rule, ndtr, normal_cdf
+from .numerics import bvn_cdf, ndtr, normal_cdf
 
 __all__ = ["AesfRequest", "esf_exact", "aesf", "aesf_many", "population_value",
            "is_supported"]
-
-#: Most evaluation points that ``aesf_many`` evaluates at once, which bounds
-#: its working memory whatever the number of points.
-_CHUNK_POINTS = 1024
 
 #: |z| beyond which Phi(z) and the bivariate normal CDF at z are saturated in
 #: double precision (Phi(-40) underflows to 0). Arguments are clipped to it,
@@ -114,17 +110,6 @@ def _as_points(f: FunctionalId, points) -> np.ndarray:
         finite = np.isfinite(points).all(axis=tuple(range(1, points.ndim)))
         raise DomainError(f"evaluation point must be finite, got {points[~finite][0].tolist()}")
     return points
-
-
-def _per_distinct(values: np.ndarray, fn) -> np.ndarray:
-    """``fn`` at every entry of ``values``, evaluated once per distinct entry,
-    on at most ``_CHUNK_POINTS`` distinct entries at a time."""
-    distinct, index = dense_ranks(values)
-    out = np.empty(len(distinct))
-    for start in range(0, len(distinct), _CHUNK_POINTS):
-        part = slice(start, start + _CHUNK_POINTS)
-        out[part] = fn(distinct[part])
-    return out[index]
 
 
 def _saturate(z: np.ndarray) -> np.ndarray:
@@ -220,17 +205,12 @@ def _tau_additive(model: AdditiveNoise, order: int) -> float:
 # Spearman
 # ---------------------------------------------------------------------------
 
-def _spearman_cross(rho: float, levels: np.ndarray, order: int) -> np.ndarray:
-    """E[Phi(T) Phi((rho T - c) / sqrt(1 - rho^2))] for T ~ N(0, 1) at each
-    level c; row sums, so that a level's value does not depend on the others."""
-    t, w = hermite_rule(order)
-    scale = math.sqrt(1.0 - rho * rho)
-    return (ndtr(t) * ndtr((rho * t - levels[:, None]) / scale) * w).sum(axis=-1)
-
-
-def _aesf_spearman_gaussian(rho: float, x: np.ndarray, y: np.ndarray,
-                            terms: list) -> np.ndarray:
-    cross_x, cross_y = terms
+def _aesf_spearman_gaussian(rho: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The cross term E[Phi(T) Phi((rho T - c) / sqrt(1 - rho^2))], T ~ N(0, 1),
+    # at c = x and at c = y is Phi_2(0, -c; rho / sqrt 2) (notes/decisions.md),
+    # taken once per distinct coordinate.
+    cross_x, cross_y = (bvn_cdf(0.0, -levels, rho / _SQRT2)[index]
+                        for levels, index in map(dense_ranks, (x, y)))
     return (12.0 * normal_cdf(x) * normal_cdf(y)
             + 12.0 * (cross_y + cross_x)
             - (18.0 / math.pi) * math.asin(0.5 * rho) - 9.0)
@@ -303,13 +283,13 @@ def _truncated_survival_means(model: Model, xs: np.ndarray, ys: np.ndarray,
                           half_width=Y_PRIME_HALF_WIDTH)
 
 
-def _aesf_chatterjee(model: Model, x: np.ndarray, y: np.ndarray, terms: list,
-                     order: int) -> np.ndarray:
+def _aesf_chatterjee(model: Model, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     if model.link is None:
         # Y independent of X: t1 = t3 = 1/3, t2 = S(y)^2, t4 = (1 - S(y)^2) / 2 cancel.
         return np.zeros(len(x))
     t1 = _chatterjee_shared_term(model, order)
-    t3, t2 = terms
+    t2 = _level_square_means(model, y, order)
+    t3 = _survival_square_means(model, x, order)
     t4 = _truncated_survival_means(model, x, y, order)
     return -12.0 * t1 + 6.0 * t2 - 6.0 * t3 + 12.0 * t4
 
@@ -322,40 +302,17 @@ def aesf_many(f, model: Model, points, order: int = 64) -> np.ndarray:
     """Asymptotic expected sensitivity at each of many evaluation points.
 
     ``points`` has shape (P, 2) for the rank correlations and (P,) for the
-    scalar functionals; the result has shape (P,). A term that depends on
-    one coordinate only is evaluated once per distinct value of that
-    coordinate in the whole request, at most ``_CHUNK_POINTS`` values at a
-    time; the other terms go through the points in chunks of at most
-    ``_CHUNK_POINTS``, which bounds the working memory. Each value is
-    computed on its own, so it does not depend on the other points or on
-    the chunking.
+    scalar functionals; the result has shape (P,). Every term is either
+    elementwise over the points (``bvn_cdf`` works through them in blocks
+    of ``_BVN_BLOCK``) or one ``x_expectations`` call over the whole
+    request, which builds and sums each distinct rule once, in batches of
+    at most ``_CHUNK_PANELS`` panels. Each value is computed on its own, so
+    it does not depend on the other points of the request.
     """
     f = as_functional(f)
     _require_supported(f, model)
     points = _as_points(f, points)
-    terms = _coordinate_terms(f, model, points, order)
-    values = np.empty(len(points))
-    for start in range(0, len(points), _CHUNK_POINTS):
-        part = slice(start, start + _CHUNK_POINTS)
-        values[part] = _aesf_chunk(f, model, points[part], [t[part] for t in terms], order)
-    return values
 
-
-def _coordinate_terms(f: FunctionalId, model: Model, points: np.ndarray, order: int) -> list:
-    """At each point, the terms of the AESF that depend on x alone and on y
-    alone, each evaluated once per distinct coordinate; [] when there are
-    none."""
-    if f.tag == "spearman" and isinstance(model, BivariateGaussian):
-        cross = lambda levels: _spearman_cross(model.rho, levels, order)
-        return [_per_distinct(points[:, 0], cross), _per_distinct(points[:, 1], cross)]
-    if f.tag == "chatterjee" and model.link is not None:
-        return [_per_distinct(points[:, 0], lambda xs: _survival_square_means(model, xs, order)),
-                _per_distinct(points[:, 1], lambda ys: _level_square_means(model, ys, order))]
-    return []
-
-
-def _aesf_chunk(f: FunctionalId, model: Model, points: np.ndarray, terms: list,
-                order: int):
     if f.tag in ("mean", "variance"):
         mu, var = _mean_var(model)
         return points - mu if f.tag == "mean" else (points - mu) ** 2 - var
@@ -382,10 +339,10 @@ def _aesf_chunk(f: FunctionalId, model: Model, points: np.ndarray, terms: list,
 
     if f.tag == "spearman":
         if isinstance(model, BivariateGaussian):
-            return _aesf_spearman_gaussian(model.rho, x, y, terms)
+            return _aesf_spearman_gaussian(model.rho, x, y)
         return _aesf_spearman_independent(model, x, y)
 
-    return _aesf_chatterjee(model, x, y, terms, order)
+    return _aesf_chatterjee(model, x, y, order)
 
 
 def aesf(request: AesfRequest, order: int = 64) -> float:

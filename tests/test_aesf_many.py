@@ -1,5 +1,5 @@
 """AESF over many points: the closed-form Chatterjee inner integrals, pinned
-grid values, chunking and input validation."""
+grid values, independence from the request, and input validation."""
 
 import functools
 import json
@@ -28,6 +28,7 @@ from aesf import (
     conditional_survival,
     scenario,
 )
+from aesf.models import Y_PRIME_HALF_WIDTH, x_expectations
 from aesf import closedform
 from y_prime_quadrature import expect_y_prime
 
@@ -149,6 +150,10 @@ class TestPinnedGrids:
 
 
 class TestChunking:
+    """A value does not depend on the request it arrives in: the whole
+    request, each point on its own, the request reversed and its two halves
+    give the same bits."""
+
     CASES = [
         ("kendall", GAUSS), ("spearman", GAUSS), ("chatterjee", GAUSS),
         ("kendall", scenario("B")), ("chatterjee", scenario("A")),
@@ -156,18 +161,20 @@ class TestChunking:
     ]
     POINTS = np.random.default_rng(7).normal(0.0, 1.5, (25, 2))
 
+    @staticmethod
+    def _check(f, model, points, whole):
+        half = len(points) // 2
+        assert np.array_equal(aesf_many(f, model, points[::-1])[::-1], whole)
+        halves = [aesf_many(f, model, points[:half]), aesf_many(f, model, points[half:])]
+        assert np.array_equal(np.concatenate(halves), whole)
+        singles = [aesf(AesfRequest(f, model, p)) for p in points.tolist()]
+        assert whole.tolist() == singles
+
     @pytest.mark.parametrize("tag,model", CASES)
-    def test_bit_identical_across_chunks(self, tag, model, monkeypatch):
-        # Repeated coordinates, so that per-distinct terms are shared.
+    def test_bit_identical_across_chunks(self, tag, model):
+        # Repeated coordinates, so that distinct rows are shared.
         points = np.vstack((self.POINTS, self.POINTS[:5, ::-1], self.POINTS[:4]))
-        assert len(points) <= closedform._CHUNK_POINTS
-        whole = aesf_many(tag, model, points)
-        for chunk, count in ((13, 3), (17, 2)):
-            monkeypatch.setattr(closedform, "_CHUNK_POINTS", chunk)
-            assert -(-len(points) // chunk) == count
-            assert np.array_equal(aesf_many(tag, model, points), whole), chunk
-        singles = [aesf(AesfRequest(tag, model, tuple(p))) for p in points.tolist()]
-        assert np.array_equal(whole, singles)
+        self._check(tag, model, points, aesf_many(tag, model, points))
 
     @pytest.mark.parametrize("tag,model,points", [
         ("mean", UnivariateNormal(1.0, 2.0), [0.5, -3.0, 1.0, 7.25]),
@@ -175,17 +182,35 @@ class TestChunking:
         ("uniform_max", UniformMax(2.0), [0.0, 2.0, 1.5, 2.0]),
         ("phi_linear", UnivariateNormal(0.5, 1.0), [0.1, -1.0, 2.0]),
     ])
-    def test_scalar_functionals(self, tag, model, points, monkeypatch):
+    def test_scalar_functionals(self, tag, model, points):
         f = FunctionalId(tag, g="square", phi="sine") if tag == "phi_linear" else tag
-        whole = aesf_many(f, model, points)
-        monkeypatch.setattr(closedform, "_CHUNK_POINTS", 2)
-        assert np.array_equal(aesf_many(f, model, points), whole)
-        assert whole.tolist() == [aesf(AesfRequest(f, model, p)) for p in points]
+        points = np.array(points)
+        self._check(f, model, points, aesf_many(f, model, points))
 
 
 class TestCoordinateTerms:
-    """Terms of one coordinate run once per distinct coordinate of a request,
-    however many chunks its points take."""
+    """Each distinct row of a term reaches that term's kernel once per request:
+    a y for t2, a g(x) for t3 and a (g(x), y) for t4."""
+
+    @staticmethod
+    def _record_rows(monkeypatch):
+        """Patch the x_expectations that closedform calls to record, per call,
+        its levels, its half-width and the rows whose rules reach the kernel."""
+        calls = []
+
+        def recording(model, kernel, levels, **options):
+            levels = np.asarray(levels, dtype=float)
+            sent = []
+            calls.append((levels, options.get("half_width"), sent))
+
+            def counted(nodes, i):
+                sent.extend(np.unique(i).tolist())
+                return kernel(nodes, i)
+
+            return x_expectations(model, counted, levels, **options)
+
+        monkeypatch.setattr(closedform, "x_expectations", recording)
+        return calls
 
     def test_each_coordinate_reaches_t2_and_t3_once(self, monkeypatch):
         model, order = scenario("C"), 64
@@ -193,17 +218,25 @@ class TestCoordinateTerms:
         whole = aesf_many("chatterjee", model, points, order)
         # The shared term also goes through t3, on its own rule: keep it cached.
         closedform._chatterjee_shared_term(model, order)
-        seen = {}
-        for name in ("_level_square_means", "_survival_square_means"):
-            def counted(model, levels, order, _name=name, _term=getattr(closedform, name)):
-                seen.setdefault(_name, []).extend(np.ravel(levels).tolist())
-                return _term(model, levels, order)
-            monkeypatch.setattr(closedform, name, counted)
-        monkeypatch.setattr(closedform, "_CHUNK_POINTS", 13)
-        assert -(-len(points) // 13) == 12
+        calls = self._record_rows(monkeypatch)
         assert np.array_equal(aesf_many("chatterjee", model, points, order), whole)
-        assert sorted(seen["_level_square_means"]) == np.unique(points[:, 1]).tolist()
-        assert sorted(seen["_survival_square_means"]) == np.unique(points[:, 0]).tolist()
+        seen = {}
+        for levels, half_width, sent in calls:
+            if levels.ndim == 1:
+                seen.setdefault(half_width, []).extend(levels[sent].tolist())
+        assert sorted(seen[None]) == np.unique(points[:, 1]).tolist()
+        assert sorted(seen[Y_PRIME_HALF_WIDTH]) == np.unique(model.link(points[:, 0])).tolist()
+
+    def test_t4_kernel_sees_each_distinct_row_once(self, monkeypatch):
+        # Scenario B's figure-4 grid: g(x) = x^2 folds the x grid onto itself.
+        model = scenario("B")
+        points = _grid_points(*PINNED["chatterjee_B"]["window"])
+        whole = aesf_many("chatterjee", model, points)
+        calls = self._record_rows(monkeypatch)
+        assert np.array_equal(aesf_many("chatterjee", model, points), whole)
+        sent = np.concatenate([levels[rows] for levels, _, rows in calls if levels.ndim == 2])
+        distinct = np.unique(np.column_stack((model.link(points[:, 0]), points[:, 1])), axis=0)
+        assert len(sent) == len(np.unique(sent, axis=0)) == len(distinct)
 
 
 class TestValidation:

@@ -147,40 +147,67 @@ class TestSpearmanAesf:
 class TestCrouxDehonInfluenceFunctions:
     """Gaussian AESF against the influence functions of Croux and Dehon,
     "Influence functions of the Spearman and Kendall correlation measures"
-    (Stat. Methods Appl., 2010), evaluated with scipy alone."""
+    (Stat. Methods Appl., 2010), evaluated with scipy alone, at rho = 0.7
+    and at correlations near +-1, where the Spearman cross term's integrand
+    is nearly a step."""
 
-    RHO = 0.7
-    POINTS = [(0.0, 0.0), (1.2, -0.4), (2.0, -2.0), (-0.5, 1.7), (2.5, 2.5), (-1.0, -3.0)]
+    CASES = [pytest.param(rho, p, id=f"point{i}" if rho == 0.7 else f"{rho}-point{i}")
+             for rho in (0.7, -0.95, 0.95, 0.99, 0.999)
+             for i, p in enumerate([(0.0, 0.0), (1.2, -0.4), (2.0, -2.0), (-0.5, 1.7),
+                                    (2.5, 2.5), (-1.0, -3.0)])]
 
-    def _phi_above(self, a):
-        # E[Phi(U) 1(V > a)] for standard normals (U, V) with correlation RHO
-        s = math.sqrt(1.0 - self.RHO ** 2)
+    @staticmethod
+    def _phi_above(rho, a):
+        # E[Phi(U) 1(V > a)] for standard normals (U, V) with correlation rho,
+        # split at the integrand's kink t = a / rho.
+        s = math.sqrt(1.0 - rho ** 2)
 
         def integrand(t):
-            return stats.norm.pdf(t) * ndtr(t) * ndtr((self.RHO * t - a) / s)
+            return stats.norm.pdf(t) * ndtr(t) * ndtr((rho * t - a) / s)
 
-        return integrate.quad(integrand, -math.inf, math.inf,
-                              epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        return sum(integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((-math.inf, a / rho), (a / rho, math.inf)))
 
-    @pytest.mark.parametrize("point", POINTS)
-    def test_kendall(self, point):
+    @classmethod
+    def _spearman(cls, rho, point):
+        # -3 rho_S - 9 + 12 {Phi(x) Phi(y) + E[Phi(X) 1(Y > y)] + E[Phi(Y) 1(X > x)]}
+        x, y = point
+        rho_s = 6.0 / math.pi * math.asin(rho / 2.0)
+        return -3.0 * rho_s - 9.0 + 12.0 * (
+            ndtr(x) * ndtr(y) + cls._phi_above(rho, y) + cls._phi_above(rho, x))
+
+    @pytest.mark.parametrize("rho,point", CASES)
+    def test_kendall(self, rho, point):
         # 4 P[(X - x)(Y - y) > 0] - 2 - 2 tau
         x, y = point
         joint = stats.multivariate_normal.cdf(
-            [x, y], mean=[0.0, 0.0], cov=[[1.0, self.RHO], [self.RHO, 1.0]])
+            [x, y], mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
         concordant = 1.0 - ndtr(x) - ndtr(y) + 2.0 * joint
-        tau = 2.0 / math.pi * math.asin(self.RHO)
+        tau = 2.0 / math.pi * math.asin(rho)
         expected = 4.0 * concordant - 2.0 - 2.0 * tau
-        assert aesf(_req("kendall", GAUSS, point)) == pytest.approx(expected, abs=1e-8)
+        assert aesf(_req("kendall", BivariateGaussian(rho), point)) == pytest.approx(
+            expected, abs=1e-8)
 
-    @pytest.mark.parametrize("point", POINTS)
-    def test_spearman(self, point):
-        # -3 rho_S - 9 + 12 {Phi(x) Phi(y) + E[Phi(X) 1(Y > y)] + E[Phi(Y) 1(X > x)]}
-        x, y = point
-        rho_s = 6.0 / math.pi * math.asin(self.RHO / 2.0)
-        expected = -3.0 * rho_s - 9.0 + 12.0 * (
-            ndtr(x) * ndtr(y) + self._phi_above(y) + self._phi_above(x))
-        assert aesf(_req("spearman", GAUSS, point)) == pytest.approx(expected, abs=1e-8)
+    @pytest.mark.parametrize("rho,point", CASES)
+    def test_spearman(self, rho, point):
+        assert aesf(_req("spearman", BivariateGaussian(rho), point)) == pytest.approx(
+            self._spearman(rho, point), abs=1e-8)
+
+    def test_cli_spearman_grid_at_rho_099(self, capsys, tmp_path):
+        from aesf.cli import main
+
+        out_csv = tmp_path / "spearman.csv"
+        code = main(["aesf-grid", "--functional", "spearman",
+                     "--model", '{"variant":"bivariate_gaussian","rho":0.99}',
+                     "--x-min", "-2", "--x-max", "2", "--y-min", "-1", "--y-max", "1.5",
+                     "--nx", "3", "--ny", "3", "--out", str(out_csv)])
+        capsys.readouterr()
+        assert code == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "x,y,aesf" and len(lines) == 1 + 9
+        for line in lines[1:]:
+            x, y, value = (float(t) for t in line.split(","))
+            assert value == pytest.approx(self._spearman(0.99, (x, y)), abs=1e-8), (x, y)
 
 
 class TestChatterjeeAesf:

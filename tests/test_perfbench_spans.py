@@ -53,7 +53,8 @@ def tracer():
 
 def test_traced_cli_commands_complete(tracer, tmp_path, capsys):
     # A small command of each kind the benchmark traces: a Chatterjee grid, a
-    # figure-3 grid, a Monte Carlo esf and a convergence study.
+    # figure-3 grid, a Monte Carlo esf and a convergence study; and a figure-4
+    # grid, whose scenario A reaches hermite_rule through y_moments.
     from aesf import cli, closedform
 
     spans, traced = tracer
@@ -67,6 +68,8 @@ def test_traced_cli_commands_complete(tracer, tmp_path, capsys):
          "--out", str(tmp_path / "chatterjee_C.csv"), "--json"],
         ["aesf-grid", "--figure", "3", "--nx", "9", "--ny", "9",
          "--out", str(tmp_path / "figure3.csv"), "--json"],
+        ["aesf-grid", "--figure", "4", "--nx", "3", "--ny", "3",
+         "--out", str(tmp_path / "figure4.csv"), "--json"],
         ["esf", "--functional", "variance", "--model", normal, "--n", "50", "--x", "2",
          "--replicates", "200", "--seed", "7", "--json"],
         ["converge", "--functional", "kendall", "--model", gauss, "--x", "1.2", "--y", "-0.4",
