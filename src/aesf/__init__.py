@@ -37,7 +37,6 @@ from .models import (
     conditional_survival,
     derive_seed,
     expect_y_prime,
-    marginal_cdf_x,
     marginal_cdf_y,
     model_from_json,
     model_to_json,

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, NumericsError, UnsupportedError
 from .estimators import FunctionalId, _g_values, as_functional, dense_ranks, phi_derivative
 from .models import (
     AdditiveNoise,
@@ -32,18 +32,14 @@ from .models import (
     Y_PRIME_HALF_WIDTH,
     _count,
     conditional_survival,
+    is_bivariate,
     x_expectation_rule,
     x_expectations,
 )
-from .numerics import bvn_cdf, ndtr, normal_cdf
+from .numerics import DEFAULT_ORDER, SATURATION, bvn_cdf, ndtr, normal_cdf
 
 __all__ = ["AesfRequest", "esf_exact", "aesf", "aesf_many", "population_value",
            "is_supported"]
-
-#: |z| beyond which Phi(z) and the bivariate normal CDF at z are saturated in
-#: double precision (Phi(-40) underflows to 0). Arguments are clipped to it,
-#: so that a far-out evaluation point cannot overflow to infinity.
-_SATURATION = 40.0
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -82,18 +78,10 @@ def _require_supported(f: FunctionalId, model: Model) -> None:
             f"no closed form for functional {f.tag!r} under {type(model).__name__}")
 
 
-def _scalar_point(point) -> float:
-    if np.ndim(point) != 0:
-        raise DomainError("this functional takes a scalar evaluation point")
-    x = float(point)
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x}")
-    return x
-
-
-def _as_points(f: FunctionalId, points) -> np.ndarray:
+def _as_points(f: FunctionalId, model: Model, points) -> np.ndarray:
     """``points`` as floats of shape (P, 2) for a rank correlation or (P,)
-    for a scalar functional, every coordinate finite."""
+    for a scalar functional, every coordinate finite, and for the uniform
+    maximum in its model's support [0, theta]."""
     try:
         points = np.asarray(points, dtype=float)
     except (TypeError, ValueError):
@@ -109,17 +97,29 @@ def _as_points(f: FunctionalId, points) -> np.ndarray:
     if not np.isfinite(points).all():
         finite = np.isfinite(points).all(axis=tuple(range(1, points.ndim)))
         raise DomainError(f"evaluation point must be finite, got {points[~finite][0].tolist()}")
+    if f.tag == "uniform_max":
+        outside = (points < 0.0) | (points > model.theta)
+        if outside.any():
+            raise DomainError(f"x must lie in [0, {model.theta}], got {points[outside][0]}")
     return points
 
 
 def _saturate(z: np.ndarray) -> np.ndarray:
-    return np.clip(z, -_SATURATION, _SATURATION)
+    # bvn_cdf rejects the infinity that a far-out point's g(x) can overflow to.
+    return np.clip(z, -SATURATION, SATURATION)
+
+
+def _square(v: float, what: str, model: Model) -> float:
+    try:
+        return v ** 2
+    except OverflowError:
+        raise NumericsError(f"{what} of {model} is beyond the float range") from None
 
 
 def _mean_var(model: Model) -> tuple[float, float]:
     """Mean and variance of a univariate model, loc + scale * V for V from its law."""
     mean, sd = model.law.moments()
-    return model.loc + model.scale * mean, (model.scale * sd) ** 2
+    return model.loc + model.scale * mean, _square(model.scale * sd, "the variance", model)
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +138,16 @@ def esf_exact(f, model: Model, point, n: int) -> float:
     if f.tag not in ("mean", "variance", "uniform_max"):
         raise UnsupportedError(f"no exact finite-n ESF for functional {f.tag!r}")
     n = _count(n, "sample size", 1)
-    x = _scalar_point(point)
     _require_supported(f, model)
+    x = float(_as_points(f, model, [point])[0])
     if f.tag == "mean":
-        mu, _ = _mean_var(model)
-        return x - mu
+        return x - _mean_var(model)[0]
     if f.tag == "variance":
         mu, var = _mean_var(model)
         a = n / (n + 1.0)
         return a * x * x - 2.0 * a * x * mu + a * mu * mu \
             - (n * n - n - 1.0) / (n * (n + 1.0)) * var
-    # uniform_max
-    if not 0.0 <= x <= model.theta:
-        raise DomainError(f"x must lie in [0, {model.theta}], got {x}")
-    return x * (x / model.theta) ** n
+    return x * (x / model.theta) ** n  # uniform_max
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +294,7 @@ def _aesf_chatterjee(model: Model, x: np.ndarray, y: np.ndarray, order: int) -> 
 # Public operations
 # ---------------------------------------------------------------------------
 
-def aesf_many(f, model: Model, points, order: int = 64) -> np.ndarray:
+def aesf_many(f, model: Model, points, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Asymptotic expected sensitivity at each of many evaluation points.
 
     ``points`` has shape (P, 2) for the rank correlations and (P,) for the
@@ -311,22 +307,18 @@ def aesf_many(f, model: Model, points, order: int = 64) -> np.ndarray:
     """
     f = as_functional(f)
     _require_supported(f, model)
-    points = _as_points(f, points)
+    points = _as_points(f, model, points)
 
     if f.tag in ("mean", "variance"):
         mu, var = _mean_var(model)
         return points - mu if f.tag == "mean" else (points - mu) ** 2 - var
 
     if f.tag == "uniform_max":
-        theta = model.theta
-        outside = (points < 0.0) | (points > theta)
-        if outside.any():
-            raise DomainError(f"x must lie in [0, {theta}], got {points[outside][0]}")
-        return np.where(points == theta, theta, 0.0)
+        return np.where(points == model.theta, model.theta, 0.0)
 
     if f.tag == "phi_linear":
         mu, var = _mean_var(model)
-        eg = mu if f.g == "identity" else mu ** 2 + var  # E[g(X)]
+        eg = mu if f.g == "identity" else _square(mu, "the squared mean", model) + var
         return (_g_values(f.g, points) - eg) * phi_derivative(f.phi, eg)
 
     x, y = points[:, 0], points[:, 1]
@@ -345,28 +337,27 @@ def aesf_many(f, model: Model, points, order: int = 64) -> np.ndarray:
     return _aesf_chatterjee(model, x, y, order)
 
 
-def aesf(request: AesfRequest, order: int = 64) -> float:
+def aesf(request: AesfRequest, order: int = DEFAULT_ORDER) -> float:
     """Asymptotic expected sensitivity at the request's evaluation point; the
     one-point case of ``aesf_many``."""
     return float(aesf_many(request.functional, request.model, [request.point], order)[0])
 
 
-def population_value(f, model: Model, order: int = 64) -> float:
+def population_value(f, model: Model, order: int = DEFAULT_ORDER) -> float:
     """Population value of a rank correlation under the given model."""
     f = as_functional(f)
     if f.tag not in ("kendall", "spearman", "chatterjee"):
         raise UnsupportedError(f"no population value for functional {f.tag!r}")
-    if isinstance(model, IndependentProduct):
-        return 0.0
-    if f.tag == "kendall":
+    if is_bivariate(model):
+        if model.link is None:  # Y does not depend on X
+            return 0.0
+        if f.tag == "chatterjee":
+            # xi = (t1 - 1/3) / E[F_Y(Y) (1 - F_Y(Y))], and that mean is 1/6 for continuous Y.
+            return 6.0 * _chatterjee_shared_term(model, order) - 2.0
         if isinstance(model, BivariateGaussian):
-            return (2.0 / math.pi) * math.asin(model.rho)
-        if isinstance(model, AdditiveNoise):
+            return (2.0 / math.pi) * math.asin(model.rho) if f.tag == "kendall" \
+                else (6.0 / math.pi) * math.asin(0.5 * model.rho)
+        if f.tag == "kendall":
             return _tau_additive(model, order)
-    if f.tag == "spearman" and isinstance(model, BivariateGaussian):
-        return (6.0 / math.pi) * math.asin(0.5 * model.rho)
-    if f.tag == "chatterjee" and isinstance(model, (BivariateGaussian, AdditiveNoise)):
-        # xi = (t1 - 1/3) / E[F_Y(Y) (1 - F_Y(Y))], and that mean is 1/6 for continuous Y.
-        return 6.0 * _chatterjee_shared_term(model, order) - 2.0
     raise UnsupportedError(
         f"no population value for {f.tag!r} under {type(model).__name__}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -41,7 +41,8 @@ import numpy as np
 from ._special import ndtr, ndtri
 from .errors import DomainError, ParseError, UnsupportedError
 from .estimators import Dataset
-from .numerics import NORMAL_TAIL, _leggauss, clamp_probability, hermite_rule, normal_pdf
+from .numerics import (DEFAULT_ORDER, NORMAL_TAIL, _leggauss, clamp_probability, hermite_rule,
+                       normal_pdf)
 
 __all__ = [
     "NormalLaw",
@@ -62,7 +63,6 @@ __all__ = [
     "sample",
     "sample_batches",
     "conditional_survival",
-    "marginal_cdf_x",
     "marginal_cdf_y",
     "expect_y_prime",
 ]
@@ -123,8 +123,8 @@ class UniformLaw:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise DomainError(f"uniform law needs finite a < b, got [{self.a}, {self.b}]")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise DomainError(f"uniform law needs a < b, b - a finite, got [{self.a}, {self.b}]")
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -321,78 +321,70 @@ def is_bivariate(model: Model) -> bool:
 # JSON serialization (field names are part of the CLI contract)
 # ---------------------------------------------------------------------------
 
-def _law_to_json(law: Law) -> dict:
-    if isinstance(law, NormalLaw):
-        return {"name": "normal"}
-    return {"name": "uniform", "a": law.a, "b": law.b}
+#: Each law's and model variant's class. The JSON object holds the name, then the class's
+#: fields in order: the link and ``*_law`` fields as objects, the others as numbers.
+_LAWS = {"normal": NormalLaw, "uniform": UniformLaw}
+_VARIANTS = {"bivariate_gaussian": BivariateGaussian, "additive_noise": AdditiveNoise,
+             "uniform_max": UniformMax, "univariate_normal": UnivariateNormal,
+             "independent_product": IndependentProduct}
 
 
-def _law_from_json(obj) -> Law:
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ParseError(f"law must be an object with a 'name' field, got {obj!r}")
-    if obj["name"] == "normal":
-        return NormalLaw()
-    if obj["name"] == "uniform":
-        try:
-            return UniformLaw(float(obj["a"]), float(obj["b"]))
-        except KeyError as e:
-            raise ParseError(f"uniform law missing field {e}") from None
-    raise ParseError(f"unknown law name {obj['name']!r}")
+def _reject_unknown(obj: dict, known, what: str) -> None:
+    """A misspelt key would leave its field at a default: none is accepted."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ParseError(f"unknown field {unknown[0]!r} in {what} JSON")
 
 
 def _link_to_json(link: Link) -> dict:
-    out = {"name": link.name}
-    if link.c is not None:
-        out["c"] = link.c
-    return out
+    return {"name": link.name} if link.c is None else {"name": link.name, "c": link.c}
 
 
 def _link_from_json(obj) -> Link:
     if not isinstance(obj, dict) or "name" not in obj:
         raise ParseError(f"link must be an object with a 'name' field, got {obj!r}")
+    _reject_unknown(obj, ("name", "c"), "link")
     c = obj.get("c")
     return Link(obj["name"], None if c is None else float(c))
 
 
+def _to_json(value, tag: str, classes: dict) -> dict:
+    name = next((name for name, cls in classes.items() if isinstance(value, cls)), None)
+    if name is None:
+        raise DomainError(f"not a model: {value!r}")
+    out = {tag: name}
+    for field in fields(value):
+        v = getattr(value, field.name)
+        out[field.name] = (_link_to_json(v) if field.name == "link" else
+                           _to_json(v, "name", _LAWS) if field.name.endswith("_law") else v)
+    return out
+
+
+def _from_json(obj, tag: str, classes: dict, what: str):
+    """The ``classes[obj[tag]]`` whose fields are the other keys of ``obj``."""
+    if not isinstance(obj, dict) or tag not in obj:
+        raise ParseError(f"{what} JSON must be an object with a {tag!r} field, got {obj!r}")
+    cls = classes.get(obj[tag]) if isinstance(obj[tag], str) else None
+    if cls is None:
+        raise ParseError(f"unknown {what} {tag} {obj[tag]!r}")
+    names = [field.name for field in fields(cls)]
+    _reject_unknown(obj, [tag, *names], what)
+    try:
+        return cls(*(_link_from_json(obj[name]) if name == "link" else
+                     _from_json(obj[name], "name", _LAWS, "law") if name.endswith("_law") else
+                     float(obj[name]) for name in names))
+    except KeyError as e:
+        raise ParseError(f"{what} JSON missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad {what} JSON: {e}") from None
+
+
 def model_to_json(model: Model) -> dict:
-    if isinstance(model, BivariateGaussian):
-        return {"variant": "bivariate_gaussian", "rho": model.rho}
-    if isinstance(model, AdditiveNoise):
-        return {"variant": "additive_noise", "x_law": _law_to_json(model.x_law),
-                "link": _link_to_json(model.link), "noise_sigma": model.noise_sigma}
-    if isinstance(model, UniformMax):
-        return {"variant": "uniform_max", "theta": model.theta}
-    if isinstance(model, UnivariateNormal):
-        return {"variant": "univariate_normal", "mu": model.mu, "sigma": model.sigma}
-    if isinstance(model, IndependentProduct):
-        return {"variant": "independent_product", "x_law": _law_to_json(model.x_law),
-                "y_law": _law_to_json(model.y_law)}
-    raise DomainError(f"not a model: {model!r}")
+    return _to_json(model, "variant", _VARIANTS)
 
 
 def model_from_json(obj) -> Model:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ParseError("model JSON must be an object with a 'variant' field")
-    variant = obj["variant"]
-    try:
-        if variant == "bivariate_gaussian":
-            return BivariateGaussian(float(obj["rho"]))
-        if variant == "additive_noise":
-            return AdditiveNoise(_law_from_json(obj["x_law"]),
-                                 _link_from_json(obj["link"]),
-                                 float(obj["noise_sigma"]))
-        if variant == "uniform_max":
-            return UniformMax(float(obj["theta"]))
-        if variant == "univariate_normal":
-            return UnivariateNormal(float(obj["mu"]), float(obj["sigma"]))
-        if variant == "independent_product":
-            return IndependentProduct(_law_from_json(obj["x_law"]),
-                                      _law_from_json(obj["y_law"]))
-    except KeyError as e:
-        raise ParseError(f"model JSON missing field {e}") from None
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad model JSON: {e}") from None
-    raise ParseError(f"unknown model variant {variant!r}")
+    return _from_json(obj, "variant", _VARIANTS, "model")
 
 
 # ---------------------------------------------------------------------------
@@ -685,18 +677,6 @@ def conditional_survival(model: Model, y, x):
     return ndtr((model.link(x) - np.asarray(y, dtype=float)) / model.noise_sigma)
 
 
-def marginal_cdf_x(model: Model, t):
-    """CDF of the x marginal (or of the single variable, for univariate models)."""
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise DomainError("marginal_cdf_x is undefined at a NaN argument")
-    if hasattr(model, "law"):
-        return model.law.cdf((t - model.loc) / model.scale)
-    if not is_bivariate(model):
-        raise DomainError(f"not a model: {model!r}")
-    return model.x_law.cdf(t)
-
-
 # ---------------------------------------------------------------------------
 # Expectation rules over the x marginal
 # ---------------------------------------------------------------------------
@@ -735,7 +715,7 @@ def _panel_rules(law: Law, breakpoints: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel(), counts
 
 
-def plain_law_rule(law: Law, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def plain_law_rule(law: Law, order: int = DEFAULT_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Single-rule expectation nodes/weights: Hermite for normal, Legendre for uniform."""
     if isinstance(law, NormalLaw):
         return hermite_rule(order)
@@ -770,7 +750,7 @@ def _rule_breakpoints(model: Model, levels: np.ndarray, cuts, half_width: float)
     return np.concatenate(parts, axis=1) if parts else np.empty((len(levels), 0))
 
 
-def x_expectation_rules(model: Model, levels, cuts=None, order: int = 64,
+def x_expectation_rules(model: Model, levels, cuts=None, order: int = DEFAULT_ORDER,
                         half_width: float = FEATURE_HALF_WIDTH):
     """Expectation rules over the x marginal, one per row of ``levels``.
 
@@ -786,7 +766,7 @@ def x_expectation_rules(model: Model, levels, cuts=None, order: int = 64,
     return _panel_rules(model.x_law, breakpoints, order)
 
 
-def x_expectation_rule(model: Model, levels=(), cuts=(), order: int = 64,
+def x_expectation_rule(model: Model, levels=(), cuts=(), order: int = DEFAULT_ORDER,
                        half_width: float = FEATURE_HALF_WIDTH) -> tuple[np.ndarray, np.ndarray]:
     """Expectation rule over the x marginal, resolving conditional-CDF kernels.
 
@@ -821,7 +801,7 @@ def _distinct_rules(levels: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
-def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
+def x_expectations(model: Model, kernel, levels, cuts=None, order: int = DEFAULT_ORDER,
                    half_width: float = FEATURE_HALF_WIDTH) -> np.ndarray:
     """E_X[kernel] for each level, each on its own level-refined x rule.
 
@@ -862,7 +842,7 @@ def x_expectations(model: Model, kernel, levels, cuts=None, order: int = 64,
     return np.concatenate(sums, axis=-1)[..., group]
 
 
-def marginal_cdf_y(model: Model, t, order: int = 64):
+def marginal_cdf_y(model: Model, t, order: int = DEFAULT_ORDER):
     """CDF of the y marginal, vectorized over ``t``.
 
     For additive-noise models this is E_X[Phi((t - g(X)) / sigma)], each
@@ -883,7 +863,7 @@ def marginal_cdf_y(model: Model, t, order: int = 64):
     return clamp_probability(cdf.reshape(t.shape))
 
 
-def y_moments(model: Model, order: int = 64) -> tuple[float, float]:
+def y_moments(model: Model, order: int = DEFAULT_ORDER) -> tuple[float, float]:
     """(mean, standard deviation) of the y marginal."""
     _require_bivariate(model, "y_moments")
     if model.y_law is not None:
@@ -901,7 +881,7 @@ def y_moments(model: Model, order: int = 64) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def expect_y_prime(model: Model, h: Callable[[np.ndarray], np.ndarray], *,
-                   order: int = 64) -> float:
+                   order: int = DEFAULT_ORDER) -> float:
     """E[h(Y')] where Y' follows the marginal law of Y; ``h`` must accept
     numpy arrays.
 

@@ -3,7 +3,9 @@
 Everything here is pure and reentrant: quadrature rules are read-only
 (nodes, weights) arrays built once per order in append-only caches,
 ``bvn_cdf``'s kernels are built once per correlation in a bounded cache,
-and no function mutates its arguments.
+and no function mutates its arguments. The package's numerical policy is
+the constants below: ``NORMAL_TAIL``, ``SATURATION``, ``CLAMP_TOL`` and
+``DEFAULT_ORDER``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
+# The package, not its modules: CPython 3.11 fails one of two threads that import a
+# package and one of its modules at once (notes/decisions.md).
+from numpy.polynomial import hermite_e, legendre
 
 from ._special import ndtr
 from .errors import DomainError, NumericsError
@@ -34,6 +37,13 @@ NORMAL_TAIL = 8.5
 
 #: Largest rounding excursion outside [0, 1] that clamping will silently fix.
 CLAMP_TOL = 1e-9
+
+#: |z| beyond which Phi(z) is 0 or 1 in double precision. ``bvn_cdf`` clips
+#: its arguments to it, which keeps h * k and h^2 + k^2 finite.
+SATURATION = 40.0
+
+#: Points per panel of every quadrature rule whose caller sets no order.
+DEFAULT_ORDER = 64
 
 #: Positive halves (nodes, weights) of the 6-, 12- and 20-point Gauss-Legendre
 #: rules on [-1, 1], as numpy's ``leggauss`` gives them (its rules are
@@ -63,55 +73,51 @@ _GENZ_BANDS = ((0.3, 6), (0.75, 12), (0.925, 20))
 #: its temporaries whatever the size of the call.
 _BVN_BLOCK = 4096
 
-#: |z| beyond which Phi(z) is 0 or 1 in double precision; ``bvn_cdf`` clips
-#: its arguments to it, which keeps h * k and h^2 + k^2 finite.
-_BVN_SATURATION = 40.0
-
 
 @lru_cache(maxsize=None)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(order)
+    nodes, weights = legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
 @lru_cache(maxsize=None)
-def hermite_rule(order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def hermite_rule(order: int = DEFAULT_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Probabilists' Gauss-Hermite rule: integrates against the N(0,1) density.
 
     Returns read-only (nodes, weights); the weights sum to 1.
     """
     # Raw probabilists' weights sum to sqrt(2*pi).
-    nodes, weights = hermegauss(order)
+    nodes, weights = hermite_e.hermegauss(order)
     weights = weights / _SQRT_TWO_PI
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def clamp_probability(p, tol: float = CLAMP_TOL):
+def clamp_probability(p):
     """Clamp a nearly-in-range probability to [0, 1]; elementwise on arrays.
 
-    Excursions beyond ``tol`` and NaN indicate a bug upstream and raise
-    instead of being hidden.
+    Excursions beyond ``CLAMP_TOL`` and NaN indicate a bug upstream and
+    raise instead of being hidden.
     """
     if isinstance(p, np.ndarray):
         lo, hi = float(p.min(initial=0.0)), float(p.max(initial=1.0))
         if 0.0 <= lo and hi <= 1.0:  # False on NaN
             return p
         for extreme in (lo, hi):
-            clamp_probability(extreme, tol)  # raises beyond tol or on NaN
+            clamp_probability(extreme)  # raises beyond CLAMP_TOL or on NaN
         return np.clip(p, 0.0, 1.0)
     if math.isnan(p):
         raise NumericsError("probability is NaN")
     if p < 0.0:
-        if p < -tol:
-            raise NumericsError(f"probability {p!r} below 0 by more than {tol}")
+        if p < -CLAMP_TOL:
+            raise NumericsError(f"probability {p!r} below 0 by more than {CLAMP_TOL}")
         return 0.0
     if p > 1.0:
-        if p > 1.0 + tol:
-            raise NumericsError(f"probability {p!r} above 1 by more than {tol}")
+        if p > 1.0 + CLAMP_TOL:
+            raise NumericsError(f"probability {p!r} above 1 by more than {CLAMP_TOL}")
         return 1.0
     return p
 
@@ -153,7 +159,7 @@ def bvn_cdf(x, y, rho: float):
     Each element's nodes are summed on their own in a fixed order, in
     blocks of ``_BVN_BLOCK`` elements, so that a value does not depend on
     the array it arrives in. Conventions: the form is evaluated at
-    (min(x, y), max(x, y)), clipped to +-``_BVN_SATURATION``, so the value
+    (min(x, y), max(x, y)), clipped to +-``SATURATION``, so the value
     is symmetric in its arguments to the last bit; the sign of a zero does
     not change it; the origin is 1/4 + arcsin(rho) / 2pi exactly. rho in
     {0, +-1} is exact. On |h|, |k| <= 8 in every band, the values lie
@@ -176,9 +182,9 @@ def bvn_cdf(x, y, rho: float):
     elif rho == 0.0:
         p = ndtr(h) * ndtr(k)
     else:
-        if lo < -_BVN_SATURATION or hi > _BVN_SATURATION:
-            h = np.clip(h, -_BVN_SATURATION, _BVN_SATURATION)
-            k = np.clip(k, -_BVN_SATURATION, _BVN_SATURATION)
+        if lo < -SATURATION or hi > SATURATION:
+            h = np.clip(h, -SATURATION, SATURATION)
+            k = np.clip(k, -SATURATION, SATURATION)
         block = _bvn_arcsine(rho) if abs(rho) < 0.925 else _bvn_near_one(rho)
         if len(shape) <= 1 and h.size <= _BVN_BLOCK:
             p = block(h, k)

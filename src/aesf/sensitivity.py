@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import closedform
-from .errors import AesfError, DomainError, TieError, UnsupportedError
+from .errors import AesfError, DomainError, NumericsError, TieError, UnsupportedError
 from .estimators import (Dataset, FunctionalId, as_functional, estimate, estimate_rows,
                          rank_from_sum, sum_of_ranks, y_ranks_in_x_order)
 from .models import (Model, _count, _draw, _raw_words, derive_seeds, is_bivariate,
@@ -185,7 +185,7 @@ def _check_model_functional(f: FunctionalId, model: Model) -> None:
 def _replicate_values(f: FunctionalId, model: Model, n: int, point,
                       replicates: int, seed: int) -> tuple[np.ndarray, int]:
     """The SF of replicates r = 0 .. replicates - 1, computed in batches, and
-    the number of tie resamples."""
+    the number of tie resamples; NumericsError if an SF is not finite."""
     replicates = _count(replicates, "replicate count", 2)
     n = _count(n, "sample size", 1)
     values = np.empty(replicates)
@@ -216,6 +216,9 @@ def _replicate_values(f: FunctionalId, model: Model, n: int, point,
         if tied.size:
             raise AesfError(f"replicate {tied[0]} kept producing ties after "
                             f"{_MAX_TIE_RESAMPLES} resamples")
+    if not np.isfinite(values).all():
+        r = int(np.argmin(np.isfinite(values)))
+        raise NumericsError(f"replicate {r} has a non-finite SF, {values[r]}")
     return values, resamples
 
 

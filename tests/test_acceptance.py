@@ -36,7 +36,6 @@ from aesf import (
     esf_exact,
     esf_mc,
     kendall_tau,
-    marginal_cdf_x,
     marginal_cdf_y,
     sample,
     sf,
@@ -121,7 +120,7 @@ def test_criterion_3_origin_constant_as_literally_stated():
 def test_criterion_4_spearman_independence_and_bounds():
     for x in np.linspace(-2.0, 2.0, 9):
         for y in np.linspace(-0.8, 1.8, 9):
-            u = float(marginal_cdf_x(INDEP, x))
+            u = float(INDEP.x_law.cdf(x))
             v = float(marginal_cdf_y(INDEP, y))
             closed = aesf(AesfRequest("spearman", INDEP, (x, y)))
             assert abs(closed - 3.0 * (2 * u - 1) * (2 * v - 1)) <= 1e-8

@@ -275,6 +275,17 @@ class TestAesfGrid:
                          "--out", str(tmp_path / "x.csv"))
         assert code == 4
 
+    def test_unsupported_pair_fails_before_any_file(self, capsys, tmp_path):
+        # aesf_many decides the support; its message reaches stderr.
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(capsys, "aesf-grid", "--model", "B", "--functional", "spearman",
+                           "--x-min", "-1", "--x-max", "1", "--y-min", "0", "--y-max", "1",
+                           "--nx", "3", "--ny", "3", "--out", str(out_csv))
+        assert code == 4
+        assert err == ("error: unsupported: no closed form for functional 'spearman' "
+                       "under AdditiveNoise\n")
+        assert not out_csv.exists()
+
     def test_non_finite_points_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "aesf-grid", "--model", "A", "--functional", "chatterjee",
                            "--x-min=-inf", "--x-max", "1", "--y-min", "0",
@@ -293,6 +304,54 @@ class TestAesfGrid:
                          "--y-min", "0", "--y-max", "1", "--nx", "2000", "--ny", "2000",
                          "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+
+class TestModelJson:
+    def test_unknown_key_exit_2(self, capsys):
+        for model, key in (('{"variant":"bivariate_gaussian","rho":0.5,"rh0":3}', "rh0"),
+                           ('{"variant":"additive_noise","x_law":{"name":"normal"},'
+                            '"link":{"name":"linear","c":0.5,"k":1},"noise_sigma":1}', "k")):
+            code, out, err = run(capsys, "esf", "--model", model, "--functional", "kendall",
+                                 "--n", "10", "--x", "0", "--y", "0", "--replicates", "5")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: parse: ") and f"unknown field {key!r}" in err
+
+    def test_uniform_width_beyond_the_float_range_exit_2(self, capsys, tmp_path):
+        # This x law used to reach math.ceil(nan) in x_expectations: a traceback.
+        model = ('{"variant":"additive_noise","x_law":{"name":"uniform","a":-1e308,"b":1e308},'
+                 '"link":{"name":"square"},"noise_sigma":1}')
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(capsys, "aesf-grid", "--model", model, "--functional", "kendall",
+                           "--x-min", "-1", "--x-max", "1", "--y-min", "-1", "--y-max", "1",
+                           "--nx", "2", "--ny", "2", "--out", str(out_csv))
+        assert code == 2
+        assert "uniform law needs a < b, b - a finite" in err
+        assert not out_csv.exists()
+
+
+class TestNonFiniteSf:
+    MODELS = {"variance": '{"variant":"univariate_normal","mu":0,"sigma":1e200}',
+              "mean": '{"variant":"univariate_normal","mu":1e308,"sigma":1e308}'}
+
+    @pytest.mark.parametrize("functional", ["variance", "mean"])
+    def test_sfdist_exit_1_without_a_file(self, capsys, tmp_path, functional):
+        out_csv = tmp_path / "dist.csv"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "sfdist", "--functional", functional,
+                               "--model", self.MODELS[functional], "--n", "10", "--x", "1",
+                               "--replicates", "5", "--out", str(out_csv))
+        assert code == 1
+        assert err == "error: replicate 0 has a non-finite SF, nan\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("functional", ["variance", "mean"])
+    def test_esf_exit_1_names_the_replicate(self, capsys, functional):
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "esf", "--functional", functional,
+                                 "--model", self.MODELS[functional], "--n", "10", "--x", "1",
+                                 "--replicates", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: replicate 0 has a non-finite SF, nan\n"
 
 
 class TestConverge:

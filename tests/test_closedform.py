@@ -16,6 +16,7 @@ from aesf import (
     IndependentProduct,
     Link,
     NormalLaw,
+    NumericsError,
     UniformLaw,
     UniformMax,
     UnivariateNormal,
@@ -24,7 +25,6 @@ from aesf import (
     bvn_cdf,
     conditional_survival,
     esf_exact,
-    marginal_cdf_x,
     marginal_cdf_y,
     normal_cdf,
     population_value,
@@ -87,6 +87,19 @@ class TestEsfExact:
         assert esf_exact("uniform_max", UniformMax(1.0), 0.9, np.int64(10)) == \
             esf_exact("uniform_max", UniformMax(1.0), 0.9, 10)
 
+    @pytest.mark.parametrize("point", [np.array([0.5, 0.6]), [0.5], math.nan, np.float64("nan")])
+    def test_array_and_nan_points_rejected(self, point):
+        # The point goes through aesf_many's check, with its messages.
+        for tag, model in (("variance", UnivariateNormal(0.0, 1.0)),
+                           ("uniform_max", UniformMax(1.0))):
+            with pytest.raises(DomainError, match="scalar evaluation points|must be finite"):
+                esf_exact(tag, model, point, 10)
+
+    def test_variance_beyond_the_float_range(self):
+        # Squaring sigma = 1e308 / sqrt(12) overflows: a bare OverflowError before.
+        with pytest.raises(NumericsError, match="variance"):
+            esf_exact("variance", UniformMax(1e308), 1.0, 10)
+
 
 class TestNonFinitePoints:
     def test_scalar_nan_rejected(self):
@@ -128,7 +141,7 @@ class TestSpearmanAesf:
         for m in (INDEP, IndependentProduct(UniformLaw(0, 1), NormalLaw())):
             for x in np.linspace(-0.9, 0.9, 9):
                 for y in np.linspace(-0.9, 1.9, 9):
-                    u = float(marginal_cdf_x(m, x))
+                    u = float(m.x_law.cdf(x))
                     v = float(marginal_cdf_y(m, y))
                     expected = 3.0 * (2 * u - 1) * (2 * v - 1)
                     assert aesf(_req("spearman", m, (x, y))) == pytest.approx(
@@ -314,6 +327,17 @@ class TestPhiLinearAesf:
         f = _req("phi_linear", UnivariateNormal(3.0, 2.0), 5.0)
         assert aesf(f) == aesf(_req("mean", UnivariateNormal(3.0, 2.0), 5.0))
 
+    @pytest.mark.parametrize("tag,model,g", [
+        ("variance", UnivariateNormal(0.0, 1e200), "identity"),
+        ("variance", UniformMax(1e308), "identity"),
+        ("phi_linear", UnivariateNormal(0.0, 1e200), "identity"),
+        ("phi_linear", UnivariateNormal(1e200, 1.0), "square"),  # E[X^2] = mu^2 + 1
+    ])
+    def test_moments_beyond_the_float_range(self, tag, model, g):
+        f = FunctionalId(tag, g=g) if tag == "phi_linear" else tag
+        with pytest.raises(NumericsError, match="beyond the float range"):
+            closedform.aesf_many(f, model, [1.0])
+
 
 class TestUniformMaxAesf:
     def test_piecewise(self):
@@ -374,6 +398,22 @@ class TestPopulationValues:
             population_value("mean", UnivariateNormal(0, 1))
         with pytest.raises(UnsupportedError):
             population_value("spearman", scenario("A"))
+
+    def test_zero_slope_link_keeps_its_routes(self):
+        # A linear link with c = 0 makes Y independent of X, but the model
+        # has a link, so Kendall and Chatterjee take their quadrature routes
+        # and Spearman has none: the values of the class ladder these replace.
+        m = AdditiveNoise(NormalLaw(), Link("linear", 0.0), 1.0)
+        assert repr(population_value("kendall", m)) == "0.0"
+        assert repr(population_value("chatterjee", m)) == "0.0"
+        with pytest.raises(UnsupportedError, match="'spearman' under AdditiveNoise"):
+            population_value("spearman", m)
+
+    @pytest.mark.parametrize("tag", ["kendall", "spearman", "chatterjee"])
+    @pytest.mark.parametrize("model", [UniformMax(1.0), UnivariateNormal(0.0, 1.0)])
+    def test_univariate_models_have_none(self, tag, model):
+        with pytest.raises(UnsupportedError, match=f"no population value for {tag!r} under"):
+            population_value(tag, model)
 
 
 class TestSupportTable:

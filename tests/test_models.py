@@ -29,7 +29,6 @@ from aesf import (
     conditional_survival,
     derive_seed,
     expect_y_prime,
-    marginal_cdf_x,
     marginal_cdf_y,
     model_from_json,
     model_to_json,
@@ -70,6 +69,17 @@ class TestValidation:
         assert a == AdditiveNoise(NormalLaw(), Link("linear", 0.7), math.sqrt(1 - 0.49))
         assert scenario("B") == AdditiveNoise(UniformLaw(-10, 10), Link("square"), math.sqrt(10))
         assert scenario("C") == AdditiveNoise(UniformLaw(-1, 1), Link("cos2pi"), 0.5)
+
+    def test_uniform_width_must_be_finite(self):
+        # Finite ends whose width overflows: every rule over the law would
+        # take its panel count from an infinite width (NaN after the cap).
+        for a, b in ((-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0),
+                     (1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(DomainError, match="b - a finite"):
+                UniformLaw(a, b)
+        assert UniformLaw(-1e308, 0.0).b - UniformLaw(-1e308, 0.0).a == 1e308
+        with pytest.raises(DomainError):
+            IndependentProduct(UniformLaw(-1e308, 1e308), NormalLaw())
 
     def test_link_validation(self):
         with pytest.raises(DomainError):
@@ -562,20 +572,6 @@ class TestMarginals:
         cdf = np.array([marginal_cdf_y(m, t) for t in probe])
         assert np.max(np.abs(ecdf - cdf)) <= 0.005
 
-    def test_marginal_cdf_x(self):
-        assert marginal_cdf_x(scenario("B"), 0.0) == 0.5
-        assert marginal_cdf_x(UniformMax(2.0), 1.0) == 0.5
-        assert marginal_cdf_x(UnivariateNormal(1.0, 2.0), 1.0) == 0.5
-
-    @pytest.mark.parametrize("model", [
-        UnivariateNormal(1.0, 2.0), UniformMax(2.0), BivariateGaussian(0.4), scenario("C"),
-    ])
-    def test_marginal_cdf_x_rejects_nan(self, model):
-        with pytest.raises(DomainError):
-            marginal_cdf_x(model, math.nan)
-        with pytest.raises(DomainError):
-            marginal_cdf_x(model, np.array([0.0, math.nan]))
-
     def test_univariate_has_no_y_marginal(self):
         with pytest.raises(UnsupportedError):
             marginal_cdf_y(UniformMax(1.0), 0.5)
@@ -839,6 +835,26 @@ class TestJson:
     def test_bad_json_rejected(self, bad):
         with pytest.raises(ParseError):
             model_from_json(bad)
+
+    @pytest.mark.parametrize("bad,key", [
+        ({"variant": "bivariate_gaussian", "rho": 0.5, "rh0": 3}, "rh0"),
+        ({"variant": "univariate_normal", "mu": 0, "sigma": 1, "theta": 2}, "theta"),
+        ({"variant": "bivariate_gaussian", "rho": 0.5, "x_law": {"name": "normal"}}, "x_law"),
+        ({"variant": "additive_noise", "x_law": {"name": "normal", "a": 0},
+          "link": {"name": "square"}, "noise_sigma": 1}, "a"),
+        ({"variant": "independent_product", "x_law": {"name": "normal"},
+          "y_law": {"name": "uniform", "a": 0, "b": 1, "c": 2}}, "c"),
+        ({"variant": "additive_noise", "x_law": {"name": "normal"},
+          "link": {"name": "linear", "c": 0.5, "slope": 2}, "noise_sigma": 1}, "slope"),
+    ])
+    def test_unknown_key_rejected_by_name(self, bad, key):
+        with pytest.raises(ParseError, match=f"unknown field {key!r}"):
+            model_from_json(bad)
+
+    def test_optional_link_coefficient_may_be_null(self):
+        obj = {"variant": "additive_noise", "x_law": {"name": "normal"},
+               "link": {"name": "square", "c": None}, "noise_sigma": 1}
+        assert model_from_json(obj) == AdditiveNoise(NormalLaw(), Link("square"), 1.0)
 
 
 class TestExpectYPrimeNan:

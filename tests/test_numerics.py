@@ -1,5 +1,6 @@
 """Special functions and quadrature rules."""
 
+import inspect
 import math
 from functools import lru_cache
 
@@ -10,7 +11,9 @@ from scipy.stats import multivariate_normal
 
 from aesf import DomainError, NumericsError, UniformLaw, bvn_cdf, hermite_rule, normal_cdf
 from aesf.models import plain_law_rule
-from aesf.numerics import _BVN_BLOCK, _LEGENDRE_HALVES, clamp_probability
+from aesf import closedform, models, numerics
+from aesf.numerics import (_BVN_BLOCK, _LEGENDRE_HALVES, CLAMP_TOL, DEFAULT_ORDER, SATURATION,
+                           clamp_probability)
 
 # Frozen before the build from a 40-digit erf evaluation (mpmath.ncdf).
 NORMAL_CDF_ORACLE = {
@@ -251,6 +254,33 @@ class TestClamp:
     def test_empty_array_passes_through(self, shape):
         empty = np.empty(shape)
         assert clamp_probability(empty) is empty
+
+    def test_tolerance_is_clamp_tol(self):
+        assert clamp_probability(-0.5 * CLAMP_TOL) == 0.0
+        assert clamp_probability(1.0 + 0.5 * CLAMP_TOL) == 1.0
+        for p in (-2.0 * CLAMP_TOL, 1.0 + 2.0 * CLAMP_TOL):
+            with pytest.raises(NumericsError, match="by more than 1e-09"):
+                clamp_probability(p)
+            with pytest.raises(NumericsError):
+                clamp_probability(np.array([0.5, p]))
+        with pytest.raises(TypeError):
+            clamp_probability(-1e-6, 1e-3)  # no caller sets its own tolerance
+
+
+class TestPolicyConstants:
+    @pytest.mark.parametrize("function", [
+        numerics.hermite_rule, closedform.aesf_many, closedform.aesf,
+        closedform.population_value, models.plain_law_rule, models.x_expectation_rules,
+        models.x_expectation_rule, models.x_expectations, models.marginal_cdf_y,
+        models.y_moments, models.expect_y_prime,
+    ])
+    def test_every_default_order_is_the_constant(self, function):
+        assert inspect.signature(function).parameters["order"].default is DEFAULT_ORDER == 64
+
+    def test_closed_forms_saturate_at_bvn_cdfs_bound(self):
+        z = closedform._saturate(np.array([-1e300, -41.0, 3.0, 41.0, np.inf]))
+        assert z.tolist() == [-SATURATION, -SATURATION, 3.0, SATURATION, SATURATION]
+        assert SATURATION == 40.0
 
 
 class TestBvnCdfArrays:

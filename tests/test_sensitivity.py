@@ -15,6 +15,7 @@ from aesf import (
     FunctionalId,
     IndependentProduct,
     NormalLaw,
+    NumericsError,
     TieError,
     UniformLaw,
     UniformMax,
@@ -179,6 +180,35 @@ class TestSfDistribution:
         for r, v in enumerate(values):
             ds = sample(model, n, derive_seed(seed, r, 0))
             assert v + ds.xs.mean() == pytest.approx(x, abs=1e-12)
+
+
+class TestNonFiniteReplicates:
+    # Samples of magnitude 1e200 and beyond overflow the sample variance
+    # (or the sample mean), so the SF is inf - inf: these came back as NaN.
+    @pytest.mark.parametrize("tag,model", [
+        ("variance", UnivariateNormal(0.0, 1e200)),
+        ("mean", UnivariateNormal(1e308, 1e308)),
+    ])
+    def test_raise_naming_the_first_replicate(self, tag, model):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match=r"replicate 0 has a non-finite SF"):
+                sf_distribution(tag, model, 10, 1.0, 5, 1)
+            with pytest.raises(NumericsError, match=r"replicate 0 has a non-finite SF"):
+                esf_mc(tag, model, 10, 1.0, 5, 1)
+
+    def test_first_non_finite_replicate_is_named(self, monkeypatch):
+        real = models.sample_batches
+
+        def planted(model, n, seed, replicates):
+            for start, xs, ys in real(model, n, seed, replicates):
+                xs = xs.copy()
+                xs[3 - start:, 0] = np.inf  # replicates 3 and on, in one batch
+                yield start, xs, ys
+
+        monkeypatch.setattr("aesf.sensitivity.sample_batches", planted)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match="replicate 3 "):
+                sf_distribution("mean", UnivariateNormal(0.0, 1.0), 10, 1.0, 8, 1)
 
 
 class TestMaximumGrowth:

@@ -133,6 +133,55 @@ def test_concurrent_import_waits_for_the_window():
     """, SAME_OBJECTS)
 
 
+def test_numpy_polynomial_import_beside_another_thread():
+    # The thread that the window releases imports the real scipy.special,
+    # whose array-API layer imports numpy.polynomial while aesf goes on to
+    # import numerics. Here a thread starts numpy.polynomial's __init__ and
+    # holds it until aesf's import waits on the package. Had aesf taken the
+    # lock of one of the package's modules first, the __init__ would get that
+    # module half-initialized and fail (notes/decisions.md).
+    run_python("""
+        import sys, threading, time
+        from importlib import _bootstrap, machinery
+        MAIN = threading.get_ident()
+        HOLDING = threading.Event()
+
+        class HoldPolynomial:
+            def find_spec(self, name, path=None, target=None):
+                if name != "numpy.polynomial" or threading.get_ident() == MAIN:
+                    return None
+                spec = machinery.PathFinder.find_spec(name, path)
+                exec_module = spec.loader.exec_module
+
+                def hold_then_exec(module):
+                    HOLDING.set()
+                    deadline = time.monotonic() + 60
+                    while not _bootstrap._blocking_on.get(MAIN) and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    exec_module(module)
+
+                spec.loader.exec_module = hold_then_exec
+                return spec
+
+        sys.meta_path.insert(0, HoldPolynomial())
+        errors = []
+
+        def import_polynomial():
+            try:
+                import numpy.polynomial
+            except BaseException as e:
+                errors.append(e)
+
+        thread = threading.Thread(target=import_polynomial)
+        thread.start()
+        assert HOLDING.wait(60)
+        from aesf import numerics
+        thread.join(60)
+        assert not thread.is_alive() and not errors, errors
+        assert len(numerics.hermite_rule(8)[0]) == 8 and len(numerics._leggauss(8)[0]) == 8
+    """)
+
+
 def test_cli_import_leaves_numpy_random_to_the_first_long_draw():
     run_python("""
         import sys
